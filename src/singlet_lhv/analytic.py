@@ -12,7 +12,8 @@ and visibility v the model yields
 
 with g = cos for sinusoidal patterns and the piecewise-linear line_g for the
 staircase pattern, single-sided marginals eta/2 per outcome, and correlation
--v*g(theta) conditioned on coincidence.
+-v*g(theta) conditioned on coincidence.  joint_table adds the singles and
+no-detection cells, and covers the one-sided unsymmetrized kind too.
 
 Frontier algebra: patterns exist iff K*v <= 4/eta - 2 with K = pi
 (sinusoidal) or 2*sqrt(2) (staircase).  The staircase frontier coincides
@@ -30,7 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import FRONTIER_TOL, HALF_PI, SQRT2, PatternKind, is_feasible
+from .model import (
+    FRONTIER_TOL,
+    HALF_PI,
+    SQRT2,
+    TWO_PI,
+    ModelParams,
+    PatternKind,
+    is_feasible,
+    unsymmetrized_marginals,
+)
 
 #: Minimum efficiency for the original three-angle inequality at v = 1.
 BELL_CRITICAL_EFFICIENCY = 8.0 / 9.0
@@ -119,11 +129,14 @@ def line_g(theta):
 
 
 def _correlation_shape(theta, kind: PatternKind):
+    scalar = np.ndim(theta) == 0
+    if not (math.isfinite(theta) if scalar else np.all(np.isfinite(theta))):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     # cos is even and periodic already; only the interpolated shape needs
     # its argument folded into [0, pi].
     if kind is PatternKind.SYMMETRIZED_STAIRCASE:
         return line_g(theta)
-    if np.ndim(theta) == 0:
+    if scalar:
         return math.cos(theta)
     return np.cos(np.asarray(theta, dtype=float))
 
@@ -143,6 +156,32 @@ def nonideal_probs(theta: float, eta: float, v: float, kind: PatternKind) -> Pro
     anti = scale * (1.0 - v * g)
     corr = scale * (1.0 + v * g)
     return ProbQuad(p_pp=anti, p_pm=corr, p_mp=corr, p_mm=anti)
+
+
+def joint_table(params: ModelParams, theta: float) -> np.ndarray:
+    """Closed-form 3x3 joint outcome table at relative angle theta.
+
+    Indexed [o1 + 1, o2 + 1] like PatternIntegral.table, so row and column 1
+    hold no detection.  The unsymmetrized kind detects at rate 2a/pi on
+    station one, which never fires alone, and at rate b on station two.
+    """
+    if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
+        g = _correlation_shape(theta, params.kind)
+        scale = params.a / TWO_PI
+        p_pp = p_mm = scale * (1.0 - g)
+        p_pm = p_mp = scale * (1.0 + g)
+        rate_1, rate_2 = unsymmetrized_marginals(params.a, params.b)
+        single_1, single_2, none = 0.0, 0.5 * (rate_2 - rate_1), 1.0 - rate_2
+    else:
+        eta = params.eta
+        p_pp, p_pm, p_mp, p_mm = nonideal_probs(theta, eta, params.v, params.kind).as_tuple()
+        single_1 = single_2 = 0.5 * eta * (1.0 - eta)
+        none = (1.0 - eta) ** 2
+    return np.array([
+        [p_mm, single_1, p_mp],
+        [single_2, none, single_2],
+        [p_pm, single_1, p_pp],
+    ])
 
 
 def marginal_prob(eta: float) -> float:

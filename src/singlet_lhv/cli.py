@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .analytic import STANDARD_CHSH_ANGLES, ChshAngles, max_visibility
-from .errors import DegeneratePoint, DomainError, InfeasibleParameters, InvalidConfig
+from .errors import DegeneratePoint, InfeasibleParameters, InvalidConfig, SingletLhvError
 from .experiments import chsh_experiment, region_scan, sweep_gate, theta_sweep, verify_suite
 from .model import ModelParams, PatternKind, solve_params
 
@@ -295,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleParameters, DegeneratePoint, DomainError, InvalidConfig) as exc:
+    except SingletLhvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

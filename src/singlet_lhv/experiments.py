@@ -17,11 +17,13 @@ from . import analytic
 from .analytic import (
     STANDARD_CHSH_ANGLES,
     ChshAngles,
+    ProbQuad,
     RegionVerdict,
     chsh_bound,
     chsh_value,
     classify_region,
     correlation,
+    joint_table,
     line_g,
     max_visibility,
     nonideal_probs,
@@ -41,12 +43,15 @@ from .model import (
     unsymmetrized_marginals,
 )
 from .montecarlo import (
+    FIVE_SIGMA,
     RunConfig,
     Tally,
+    binomial_se,
+    correlation_se,
     derive_seed,
     estimate,
-    independence_check,
     run,
+    zscore,
 )
 from .quadrature import outcome_probabilities
 
@@ -140,22 +145,15 @@ def sweep_gate(rows: list[SweepRow], params: ModelParams) -> SweepGate:
         if math.isnan(row.corr_mc):
             ok = False
             continue
-        dev = abs(row.corr_mc - row.corr)
-        worst_dev = max(worst_dev, dev)
+        worst_dev = max(worst_dev, abs(row.corr_mc - row.corr))
         n_coinc = row.n_pairs * params.eta * params.eta
         if n_coinc <= 0.0:
             ok = False
             continue
-        var = max(1.0 - row.corr * row.corr, 0.0) / n_coinc
-        se = math.sqrt(var)
-        if se == 0.0:
-            if dev != 0.0:
-                ok = False
-            continue
-        sigma = dev / se
-        worst_sigma = max(worst_sigma, sigma)
-        if sigma > 5.0:
-            ok = False
+        z = zscore(row.corr_mc, row.corr, correlation_se(row.corr, n_coinc))
+        if math.isfinite(z):
+            worst_sigma = max(worst_sigma, z)
+        ok = ok and z <= FIVE_SIGMA
     return SweepGate(max_abs_deviation=worst_dev, max_sigma=worst_sigma, passed=ok)
 
 
@@ -228,7 +226,7 @@ def chsh_experiment(
         se_s=se_s,
         s_oracle=chsh_value(params.v, params.kind, angles),
         bound=bound,
-        violated_mc=s_mc > bound + 5.0 * se_s,
+        violated_mc=s_mc > bound + FIVE_SIGMA * se_s,
     )
 
 
@@ -463,134 +461,74 @@ def _geometry_checks(seed: int) -> list[CheckResult]:
 
 
 def _quadrature_checks() -> list[CheckResult]:
-    out = []
-    cases = [
-        (PatternKind.SYMMETRIZED_SINUSOIDAL, 0.7, 0.8, 0.3, 0.3 + math.pi / 3.0),
-        (PatternKind.SYMMETRIZED_STAIRCASE, 0.7, 0.8, 0.1, 2.1),
+    def deviations(kind, v, a1, a2):
+        """Largest cell and station-marginal error against joint_table, and the mass error."""
+        p = solve_params(0.7, v, kind)
+        table = outcome_probabilities(p, a1, a2).table
+        diff = table - joint_table(p, a2 - a1)
+        marginal = max(np.max(np.abs(diff.sum(axis=a))) for a in (0, 1))
+        return float(np.max(np.abs(diff))), float(marginal), abs(float(table.sum()) - 1.0)
+
+    sym = [
+        deviations(PatternKind.SYMMETRIZED_SINUSOIDAL, 0.8, 0.3, 0.3 + math.pi / 3.0),
+        deviations(PatternKind.SYMMETRIZED_STAIRCASE, 0.8, 0.1, 2.1),
     ]
-    cell_dev = 0.0
-    marg_dev = 0.0
-    total_dev = 0.0
-    for kind, eta, v, a1, a2 in cases:
-        p = solve_params(eta, v, kind)
-        table = outcome_probabilities(p, a1, a2)
-        oracle = nonideal_probs(a2 - a1, eta, v, kind)
-        got = table.prob_quad()
-        cell_dev = max(
-            cell_dev,
-            max(abs(x - y) for x, y in zip(got.as_tuple(), oracle.as_tuple())),
-        )
-        for side in DetectorSide:
-            plus, minus, none = table.marginal(side)
-            marg_dev = max(
-                marg_dev,
-                abs(plus - 0.5 * eta),
-                abs(minus - 0.5 * eta),
-                abs(none - (1.0 - eta)),
-            )
-        total_dev = max(total_dev, abs(table.total() - 1.0))
-    out.append(_result("quadrature-cells-vs-closed-form", cell_dev, 1e-9))
-    out.append(_result("quadrature-marginals", marg_dev, 1e-9))
-    out.append(_result("quadrature-total-mass", total_dev, 1e-12))
-
-    p = solve_params(0.7, 1.0, PatternKind.UNSYMMETRIZED_SINUSOIDAL)
-    theta = math.pi / 3.0
-    table = outcome_probabilities(p, 0.0, theta)
-    scale = p.a / TWO_PI
-    anti = scale * (1.0 - math.cos(theta))
-    corr = scale * (1.0 + math.cos(theta))
-    got = table.prob_quad()
-    dev = max(
-        abs(got.p_pp - anti), abs(got.p_mm - anti),
-        abs(got.p_pm - corr), abs(got.p_mp - corr),
-    )
-    m1, m2 = unsymmetrized_marginals(p.a, p.b)
-    plus1, minus1, _ = table.marginal(DetectorSide.ONE)
-    plus2, minus2, _ = table.marginal(DetectorSide.TWO)
-    dev = max(
-        dev,
-        abs(plus1 + minus1 - m1),
-        abs(plus2 + minus2 - m2),
-        table.joint(1, 0),
-        table.joint(-1, 0),
-    )
-    out.append(_result("quadrature-unsymmetrized", dev, 1e-9))
-    return out
+    cells, marginal, _ = deviations(PatternKind.UNSYMMETRIZED_SINUSOIDAL, 1.0, 0.0, math.pi / 3.0)
+    return [
+        _result("quadrature-cells-vs-closed-form", max(d[0] for d in sym), 1e-9),
+        _result("quadrature-marginals", max(d[1] for d in sym), 1e-9),
+        _result("quadrature-total-mass", max(d[2] for d in sym), 1e-12),
+        _result("quadrature-unsymmetrized", max(cells, marginal), 1e-9),
+    ]
 
 
-def _mc_suite_checks(pairs_budget: int, seed: int, workers: int | None) -> list[CheckResult]:
-    out = []
+def _cell_zscores(tally: Tally, want: ProbQuad) -> list[float]:
+    n = tally.n_total
+    return [zscore(k / n, p, binomial_se(p, n)) for k, p in zip(tally.cells, want.as_tuple())]
+
+
+def _worst_finite(zs: list[float]) -> float:
+    return max((z for z in zs if math.isfinite(z)), default=0.0)
+
+
+def _mc_suite_checks(sample) -> list[CheckResult]:
     kinds = (PatternKind.SYMMETRIZED_SINUSOIDAL, PatternKind.SYMMETRIZED_STAIRCASE)
     points = ((0.7, 1.0), (0.7, 0.8), (1.0, 0.6))
     thetas = (0.0, 0.25 * math.pi, math.pi / 3.0, 0.5 * math.pi, 0.75 * math.pi, math.pi)
 
+    # An infinite z-score is a mismatch where the variance is zero.
+    cell_z, corr_z, marg_z, coin_z = [], [], [], []
     counter = 0
-    cell_sigma = 0.0
-    corr_sigma = 0.0
-    marg_sigma = 0.0
-    coin_sigma = 0.0
-    exact_misses = 0
-
     for kind in kinds:
         for eta, v in points:
             p = solve_params(eta, v, kind)
             for theta in thetas:
-                child = derive_seed(seed, counter)
+                tally = sample(p, 0.0, theta, counter)
                 counter += 1
-                cfg = RunConfig(
-                    params=p, angle_1=0.0, angle_2=theta,
-                    n_pairs=pairs_budget, seed=child,
-                )
-                tally = run(cfg, workers=workers)
                 n = tally.n_total
-                oracle = nonideal_probs(theta, eta, v, kind)
-                for got_count, want in zip(
-                    (tally.n_pp, tally.n_pm, tally.n_mp, tally.n_mm),
-                    oracle.as_tuple(),
-                ):
-                    se = math.sqrt(want * (1.0 - want) / n)
-                    dev = abs(got_count / n - want)
-                    if se == 0.0:
-                        exact_misses += int(dev != 0.0)
-                    else:
-                        cell_sigma = max(cell_sigma, dev / se)
-                e_oracle = correlation(theta, v, kind)
+                cell_z += _cell_zscores(tally, nonideal_probs(theta, eta, v, kind))
                 est = estimate(tally)
-                se = math.sqrt(max(1.0 - e_oracle * e_oracle, 0.0) / (n * eta * eta))
-                if se == 0.0:
-                    exact_misses += int(est.corr != e_oracle)
-                else:
-                    corr_sigma = max(corr_sigma, abs(est.corr - e_oracle) / se)
-                for got in (est.eta_1, est.eta_2):
-                    se = math.sqrt(eta * (1.0 - eta) / n)
-                    if se == 0.0:
-                        exact_misses += int(got != eta)
-                    else:
-                        marg_sigma = max(marg_sigma, abs(got - eta) / se)
-                rep = independence_check(tally, p)
-                if rep.threshold == 0.0:
-                    exact_misses += int(rep.deviation != 0.0)
-                else:
-                    coin_sigma = max(coin_sigma, 5.0 * rep.deviation / rep.threshold)
+                e_oracle = correlation(theta, v, kind)
+                corr_z.append(zscore(est.corr, e_oracle, correlation_se(e_oracle, n * eta * eta)))
+                marg_z += [zscore(got, eta, binomial_se(eta, n)) for got in (est.eta_1, est.eta_2)]
+                coin_z.append(zscore(est.coincidence_rate, eta * eta, binomial_se(eta * eta, n)))
 
-    out.append(_result("mc-cells-5sigma", cell_sigma, 5.0))
-    out.append(_result("mc-correlation-5sigma", corr_sigma, 5.0))
-    out.append(_result("mc-marginals-5sigma", marg_sigma, 5.0))
-    out.append(_result("mc-coincidence-5sigma", coin_sigma, 5.0))
-    out.append(_result("mc-zero-variance-cells-exact", exact_misses, 0.0))
-    return out
+    misses = sum(math.isinf(z) for z in cell_z + corr_z + marg_z + coin_z)
+    return [
+        _result("mc-cells-5sigma", _worst_finite(cell_z), FIVE_SIGMA),
+        _result("mc-correlation-5sigma", _worst_finite(corr_z), FIVE_SIGMA),
+        _result("mc-marginals-5sigma", _worst_finite(marg_z), FIVE_SIGMA),
+        _result("mc-coincidence-5sigma", _worst_finite(coin_z), FIVE_SIGMA),
+        _result("mc-zero-variance-cells-exact", misses, 0.0),
+    ]
 
 
-def _mc_structure_checks(pairs_budget: int, seed: int, workers: int | None) -> list[CheckResult]:
+def _mc_structure_checks(sample) -> list[CheckResult]:
     out = []
     base = 1000
 
     p = solve_params(0.75, 1.0, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    cfg = RunConfig(
-        params=p, angle_1=1.1, angle_2=1.1,
-        n_pairs=pairs_budget, seed=derive_seed(seed, base),
-    )
-    tally = run(cfg, workers=workers)
+    tally = sample(p, 1.1, 1.1, base)
     out.append(_result(
         "anticorrelation-exact-at-equal-angles",
         tally.n_pp + tally.n_mm, 0.0,
@@ -598,72 +536,42 @@ def _mc_structure_checks(pairs_budget: int, seed: int, workers: int | None) -> l
     ))
 
     p = solve_params(0.75, 0.85, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    cfg = RunConfig(
-        params=p, angle_1=0.6, angle_2=0.6,
-        n_pairs=pairs_budget, seed=derive_seed(seed, base + 4),
-    )
-    est = estimate(run(cfg, workers=workers))
-    se = est.std_errors["corr"]
+    est = estimate(sample(p, 0.6, 0.6, base + 4))
     out.append(_result(
-        "visibility-recovery-at-equal-angles", abs(-est.corr - p.v), 5.0 * se,
+        "visibility-recovery-at-equal-angles",
+        abs(-est.corr - p.v), FIVE_SIGMA * est.std_errors["corr"],
     ))
 
     p = solve_params(0.7, 0.8, PatternKind.SYMMETRIZED_STAIRCASE)
     theta = math.pi / 3.0
-    child = derive_seed(seed, base + 1)
-    t_wrap = run(RunConfig(
-        params=p, angle_1=0.0, angle_2=theta,
-        n_pairs=pairs_budget, seed=child,
-    ), workers=workers)
-    t_far = run(RunConfig(
-        params=p, angle_1=2.0 * math.pi, angle_2=theta + 4.0 * math.pi,
-        n_pairs=pairs_budget, seed=child,
-    ), workers=workers)
-    same = (
-        t_wrap.n_pp == t_far.n_pp and t_wrap.n_pm == t_far.n_pm
-        and t_wrap.n_mp == t_far.n_mp and t_wrap.n_mm == t_far.n_mm
-    )
-    out.append(_result("angle-periodicity-in-tallies", 0 if same else 1, 0.0))
+    t_wrap = sample(p, 0.0, theta, base + 1)
+    t_far = sample(p, 2.0 * math.pi, theta + 4.0 * math.pi, base + 1)
+    out.append(_result("angle-periodicity-in-tallies", int(t_wrap.cells != t_far.cells), 0.0))
 
-    oracle = nonideal_probs(5.0 * math.pi / 3.0, p.eta, p.v, p.kind)
-    child = derive_seed(seed, base + 2)
-    t_neg = run(RunConfig(
-        params=p, angle_1=0.0, angle_2=5.0 * math.pi / 3.0,
-        n_pairs=pairs_budget, seed=child,
-    ), workers=workers)
-    dev = 0.0
-    for got_count, want in zip(
-        (t_neg.n_pp, t_neg.n_pm, t_neg.n_mp, t_neg.n_mm), oracle.as_tuple()
-    ):
-        se = math.sqrt(want * (1.0 - want) / t_neg.n_total)
-        dev = max(dev, abs(got_count / t_neg.n_total - want) / se)
-    out.append(_result("wraparound-theta-5sigma", dev, 5.0))
+    theta = 5.0 * math.pi / 3.0
+    t_neg = sample(p, 0.0, theta, base + 2)
+    dev = max(_cell_zscores(t_neg, nonideal_probs(theta, p.eta, p.v, p.kind)))
+    out.append(_result("wraparound-theta-5sigma", dev, FIVE_SIGMA))
 
     p = solve_params(0.7, 1.0, PatternKind.UNSYMMETRIZED_SINUSOIDAL)
-    child = derive_seed(seed, base + 3)
-    tally = run(RunConfig(
-        params=p, angle_1=0.4, angle_2=0.4 + math.pi / 3.0,
-        n_pairs=pairs_budget, seed=child,
-    ), workers=workers)
+    theta = math.pi / 3.0
+    tally = sample(p, 0.4, 0.4 + theta, base + 3)
     m1, m2 = unsymmetrized_marginals(p.a, p.b)
     n = tally.n_total
-    rate1 = (tally.n_coincidences + tally.n_single_1) / n
-    rate2 = (tally.n_coincidences + tally.n_single_2) / n
-    sig1 = abs(rate1 - m1) / math.sqrt(m1 * (1.0 - m1) / n)
-    sig2 = abs(rate2 - m2) / math.sqrt(m2 * (1.0 - m2) / n)
-    e_cond = (tally.n_pp - tally.n_pm - tally.n_mp + tally.n_mm) / tally.n_coincidences
-    want = -math.cos(math.pi / 3.0)
-    sig3 = abs(e_cond - want) / math.sqrt((1.0 - want * want) / tally.n_coincidences)
+    est = estimate(tally)
+    e_oracle = correlation(theta, p.v, p.kind)
+    dev = max(
+        zscore(est.eta_1, m1, binomial_se(m1, n)),
+        zscore(est.eta_2, m2, binomial_se(m2, n)),
+        zscore(est.corr, e_oracle, correlation_se(e_oracle, tally.n_coincidences)),
+    )
     out.append(_result("unsym-single-side-one-never", tally.n_single_1, 0.0))
-    out.append(_result("unsym-marginals-and-corr-5sigma", max(sig1, sig2, sig3), 5.0))
+    out.append(_result("unsym-marginals-and-corr-5sigma", dev, FIVE_SIGMA))
 
     # Zero-efficiency edge: nothing ever fires, conservation still holds,
     # and correlation estimates are correctly refused.
     p = solve_params(0.0, 0.3, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    tally = run(RunConfig(
-        params=p, angle_1=0.0, angle_2=1.0,
-        n_pairs=MIN_VERIFY_PAIRS, seed=derive_seed(seed, base + 5),
-    ), workers=workers)
+    tally = sample(p, 0.0, 1.0, base + 5, n_pairs=MIN_VERIFY_PAIRS)
     bad = int(tally.n_none != tally.n_total) + int(tally.n_coincidences != 0)
     try:
         estimate(tally)
@@ -714,12 +622,20 @@ def verify_suite(
         raise InvalidConfig(
             f"pairs_budget must be at least {MIN_VERIFY_PAIRS}, got {pairs_budget!r}"
         )
+
+    def sample(params, angle_1, angle_2, index, n_pairs=pairs_budget) -> Tally:
+        cfg = RunConfig(
+            params=params, angle_1=angle_1, angle_2=angle_2,
+            n_pairs=n_pairs, seed=derive_seed(seed, index),
+        )
+        return run(cfg, workers=workers)
+
     checks = []
     checks.extend(_analytic_checks())
     checks.extend(_frontier_checks())
     checks.extend(_geometry_checks(seed))
     checks.extend(_quadrature_checks())
-    checks.extend(_mc_suite_checks(pairs_budget, seed, workers))
-    checks.extend(_mc_structure_checks(pairs_budget, seed, workers))
+    checks.extend(_mc_suite_checks(sample))
+    checks.extend(_mc_structure_checks(sample))
     checks.extend(_determinism_checks(seed))
     return VerifyReport(checks=tuple(checks))

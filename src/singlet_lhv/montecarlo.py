@@ -15,6 +15,7 @@ row independently reproducible from its recorded seed alone.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +29,9 @@ _MASK64 = (1 << 64) - 1
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
+#: Tolerance, in standard errors, of every sampled statistic against its oracle.
+FIVE_SIGMA = 5.0
+
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -36,13 +40,22 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _check_int(name: str, value, lo: int = 0) -> int:
+    """value as an int in [lo, 2**64 - 1]; numpy integers pass, bools and floats do not."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool) or not lo <= number <= _MASK64:
+        raise InvalidConfig(f"{name} must be an integer in [{lo}, 2**64 - 1], got {value!r}")
+    return number
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Decorrelated 64-bit child seed for substream index."""
-    if not (0 <= int(seed) <= _MASK64):
-        raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if index < 0:
-        raise InvalidConfig(f"index must be nonnegative, got {index!r}")
-    return _splitmix64((int(seed) ^ _splitmix64(int(index))) & _MASK64)
+    seed = _check_int("seed", seed)
+    index = _check_int("index", index)
+    return _splitmix64((seed ^ _splitmix64(index)) & _MASK64)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -51,11 +64,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
     Streams for different (seed, index) pairs never overlap: the pair is the
     Philox key itself, not a state jumped ahead from a shared origin.
     """
-    if not (0 <= int(seed) <= _MASK64):
-        raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if not (0 <= int(index) <= _MASK64):
-        raise InvalidConfig(f"index must be a 64-bit unsigned integer, got {index!r}")
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(index)))
+    key = (_check_int("seed", seed) << 64) | _check_int("index", index)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_lambda(stream: np.random.Generator) -> HiddenVariable:
@@ -77,12 +87,9 @@ class RunConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise InvalidConfig(f"n_pairs must be at least 1, got {self.n_pairs!r}")
-        if self.chunk_size < 1:
-            raise InvalidConfig(f"chunk_size must be at least 1, got {self.chunk_size!r}")
-        if not (0 <= self.seed <= _MASK64):
-            raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_int("n_pairs", self.n_pairs, lo=1)
+        _check_int("chunk_size", self.chunk_size, lo=1)
+        _check_int("seed", self.seed)
         for name in ("angle_1", "angle_2"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite")
@@ -120,6 +127,11 @@ class Tally:
     @classmethod
     def zero(cls) -> "Tally":
         return cls(0, 0, 0, 0, 0, 0, 0, 0)
+
+    @property
+    def cells(self) -> tuple[int, int, int, int]:
+        """Coincidence counts (n_pp, n_pm, n_mp, n_mm), the order of ProbQuad."""
+        return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
 
     @property
     def n_coincidences(self) -> int:
@@ -188,6 +200,23 @@ def run(config: RunConfig, workers: int | None = None) -> Tally:
     return total
 
 
+def binomial_se(p: float, n: float) -> float:
+    """Standard error of a rate with success probability p over n trials."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
+def correlation_se(corr: float, n: float) -> float:
+    """Standard error of a +/-1 correlation with mean corr over n coincidences."""
+    return math.sqrt(max(1.0 - corr * corr, 0.0) / n)
+
+
+def zscore(got: float, want: float, se: float) -> float:
+    """|got - want| in standard errors; with se == 0, 0.0 if exact and inf if not."""
+    if se == 0.0:
+        return 0.0 if got == want else math.inf
+    return abs(got - want) / se
+
+
 @dataclass(frozen=True)
 class Estimates:
     """Point estimates from one tally, with binomial standard errors."""
@@ -211,24 +240,20 @@ def estimate(tally: Tally) -> Estimates:
     if nc == 0:
         raise EmptyTally("no coincidences in tally")
     n = tally.n_total
-    cells = (tally.n_pp / n, tally.n_pm / n, tally.n_mp / n, tally.n_mm / n)
+    cells = tuple(k / n for k in tally.cells)
     corr = (tally.n_pp - tally.n_pm - tally.n_mp + tally.n_mm) / nc
     eta_1 = (nc + tally.n_single_1) / n
     eta_2 = (nc + tally.n_single_2) / n
     coincidence = nc / n
-
-    def binom_se(p: float) -> float:
-        return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
     se = {
-        "p_pp": binom_se(cells[0]),
-        "p_pm": binom_se(cells[1]),
-        "p_mp": binom_se(cells[2]),
-        "p_mm": binom_se(cells[3]),
-        "corr": math.sqrt(max(1.0 - corr * corr, 0.0) / nc),
-        "eta_1": binom_se(eta_1),
-        "eta_2": binom_se(eta_2),
-        "coincidence": binom_se(coincidence),
+        "p_pp": binomial_se(cells[0], n),
+        "p_pm": binomial_se(cells[1], n),
+        "p_mp": binomial_se(cells[2], n),
+        "p_mm": binomial_se(cells[3], n),
+        "corr": correlation_se(corr, nc),
+        "eta_1": binomial_se(eta_1, n),
+        "eta_2": binomial_se(eta_2, n),
+        "coincidence": binomial_se(coincidence, n),
     }
     return Estimates(
         probs=ProbQuad(*cells),
@@ -263,7 +288,7 @@ def independence_check(tally: Tally, params: ModelParams) -> IndependenceReport:
         raise InvalidConfig("tally is empty")
     observed = tally.n_coincidences / n
     deviation = abs(observed - p)
-    threshold = 5.0 * math.sqrt(p * (1.0 - p) / n)
+    threshold = FIVE_SIGMA * binomial_se(p, n)
     return IndependenceReport(
         observed=observed,
         expected=p,

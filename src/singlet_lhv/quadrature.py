@@ -113,6 +113,8 @@ def outcome_probabilities(
         raise InvalidConfig(f"gl_order must be at least 2, got {gl_order!r}")
     if bisect_iters < 1:
         raise InvalidConfig(f"bisect_iters must be at least 1, got {bisect_iters!r}")
+    if not (math.isfinite(angle_1) and math.isfinite(angle_2)):
+        raise InvalidConfig(f"angles must be finite, got {(angle_1, angle_2)!r}")
 
     edges = _breakpoints(angle_1, angle_2)
     x, wts = np.polynomial.legendre.leggauss(gl_order)

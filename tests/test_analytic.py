@@ -122,6 +122,13 @@ class TestNonidealProbs:
         with pytest.raises(DomainError):
             nonideal_probs(0.1, 0.5, 1.5, SIN)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(DomainError):
+            nonideal_probs(theta, 0.5, 0.5, SIN)
+        with pytest.raises(DomainError):
+            nonideal_probs(np.array([0.1, theta]), 0.5, 0.5, LINE)
+
 
 def test_marginal_prob():
     assert marginal_prob(0.7) == 0.35
@@ -151,6 +158,9 @@ class TestCorrelation:
     def test_domain(self):
         with pytest.raises(DomainError):
             correlation(0.5, -0.1, SIN)
+        for theta in (math.inf, math.nan, np.array([0.0, -math.inf])):
+            with pytest.raises(DomainError):
+                correlation(theta, 0.5, LINE)
 
 
 class TestChsh:

@@ -159,6 +159,12 @@ class TestChsh:
         assert res.returncode == 2
         assert "requires --angles" in res.stderr
 
+    def test_no_coincidences_is_an_error_not_a_traceback(self):
+        res = run_cli("chsh", "--eta", "0.001", "--vis", "0", "--pairs", "10")
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == ["error: no coincidences in tally"]
+        assert res.stdout == ""
+
 
 class TestRegion:
     def test_two_by_two_corners(self, tmp_path):

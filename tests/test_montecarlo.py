@@ -20,6 +20,8 @@ from singlet_lhv import (
     tally_outcomes,
 )
 
+from singlet_lhv.montecarlo import binomial_se, zscore
+
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
 
@@ -97,6 +99,41 @@ class TestRunConfig:
                 chunk_size=0,
             )
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 2.5),
+        ("seed", True),
+        ("seed", 1 << 64),
+        ("seed", "7"),
+        ("n_pairs", True),
+        ("n_pairs", 1e5),
+        ("n_pairs", np.float64(10.0)),
+        ("chunk_size", 4096.0),
+        ("chunk_size", False),
+    ])
+    def test_rejects_non_integers(self, field, value):
+        kwargs = dict(params=self.p, angle_1=0.0, angle_2=0.0, n_pairs=10, seed=1)
+        kwargs[field] = value
+        with pytest.raises(InvalidConfig):
+            RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed,index", [(2.5, 0), (True, 0), (1, 1.0), (1, False)])
+    def test_seed_helpers_reject_non_integers(self, seed, index):
+        with pytest.raises(InvalidConfig):
+            derive_seed(seed, index)
+        with pytest.raises(InvalidConfig):
+            substream(seed, index)
+
+    def test_accepts_numpy_integers(self):
+        cfg = RunConfig(
+            params=self.p, angle_1=0.0, angle_2=0.0, n_pairs=np.int64(10),
+            seed=np.uint64((1 << 64) - 1), chunk_size=np.int32(4),
+        )
+        assert cfg.n_chunks == 3
+        assert derive_seed(np.uint64(42), np.int64(1)) == derive_seed(42, 1)
+        np.testing.assert_array_equal(
+            substream(np.uint64(7), np.int8(3)).random(2), substream(7, 3).random(2)
+        )
+
     def test_chunk_count_rounds_up(self):
         cfg = RunConfig(
             params=self.p, angle_1=0.0, angle_2=0.0, n_pairs=100001, seed=1,
@@ -118,6 +155,7 @@ class TestTally:
         c = a + b
         assert c == Tally(11, 2, 3, 4, 5, 6, 7, 38)
         assert c.n_coincidences == 20
+        assert c.cells == (11, 2, 3, 4)
         assert Tally.zero().n_total == 0
 
     def test_tally_outcomes_by_hand(self):
@@ -215,6 +253,19 @@ class TestEstimate:
         t = Tally(0, 0, 0, 0, 3, 4, 5, 12)
         with pytest.raises(EmptyTally):
             estimate(t)
+
+
+class TestZscore:
+    def test_zero_variance_is_exact(self):
+        assert zscore(0.25, 0.25, 0.0) == 0.0
+        assert zscore(0.25, 0.2500001, 0.0) == math.inf
+        assert binomial_se(0.0, 1000) == 0.0
+        assert binomial_se(1.0, 1000) == 0.0
+
+    def test_scaled_deviation(self):
+        assert zscore(0.3, 0.2, 0.05) == pytest.approx(2.0, rel=1e-15)
+        assert zscore(0.1, 0.2, 0.05) == pytest.approx(2.0, rel=1e-15)
+        assert binomial_se(0.5, 100) == 0.05
 
 
 class TestIndependence:

@@ -5,8 +5,10 @@ import pytest
 
 from singlet_lhv import (
     DetectorSide,
+    DomainError,
     InvalidConfig,
     PatternKind,
+    joint_table,
     nonideal_probs,
     solve_params,
 )
@@ -93,6 +95,49 @@ class TestUnsymmetrized:
         q = self.pi.prob_quad()
         corr = (q.p_pp - q.p_pm - q.p_mp + q.p_mm) / q.total()
         assert corr == pytest.approx(-math.cos(math.pi / 3.0), abs=1e-9)
+
+
+class TestJointTable:
+    """The closed-form 3x3 table against the integrated one, every kind."""
+
+    POINTS = ((SIN, 0.7, 0.8), (LINE, 0.7, 0.8), (UNSYM, 0.7, 1.0), (SIN, 0.3, 0.2))
+    ANGLES = (
+        (0.3, 0.3 + math.pi / 3.0),
+        (1.1, 1.1),
+        (2.0 * math.pi, math.pi / 3.0 + 4.0 * math.pi),
+        (0.2, -2.0),
+    )
+
+    @pytest.mark.parametrize("kind,eta,v", POINTS)
+    def test_matches_quadrature(self, kind, eta, v):
+        p = solve_params(eta, v, kind)
+        for a1, a2 in self.ANGLES:
+            got = outcome_probabilities(p, a1, a2).table
+            np.testing.assert_allclose(joint_table(p, a2 - a1), got, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind,eta,v", POINTS)
+    def test_mass_and_station_rates(self, kind, eta, v):
+        p = solve_params(eta, v, kind)
+        if kind is UNSYM:
+            rate_1, rate_2 = 2.0 * p.a / math.pi, p.b
+        else:
+            rate_1 = rate_2 = eta
+        for theta in (0.0, 1.0, math.pi, 5.0):
+            t = joint_table(p, theta)
+            assert t.sum() == pytest.approx(1.0, abs=1e-15)
+            # Row o1 = 0 and column o2 = 0 hold the no-detection outcomes.
+            assert 1.0 - t[1].sum() == pytest.approx(rate_1, abs=1e-15)
+            assert 1.0 - t[:, 1].sum() == pytest.approx(rate_2, abs=1e-15)
+            assert (t >= 0.0).all()
+
+    def test_non_finite_angles(self):
+        p = solve_params(0.7, 0.8, SIN)
+        for kind, v in ((SIN, 0.8), (UNSYM, 1.0)):
+            with pytest.raises(DomainError):
+                joint_table(solve_params(0.7, v, kind), math.nan)
+        for a1, a2 in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(InvalidConfig):
+                outcome_probabilities(p, a1, a2)
 
 
 class TestInterface:
