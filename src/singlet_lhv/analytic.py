@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (
-    FRONTIER_TOL,
     HALF_PI,
     SQRT2,
     TWO_PI,
@@ -100,6 +99,13 @@ class RegionVerdict:
     gap: bool
 
 
+def _check_unit(name: str, x: float, positive: bool = False) -> None:
+    """Raise DomainError unless x lies in [0, 1], or in (0, 1] if positive."""
+    if not ((0.0 < x if positive else 0.0 <= x) and x <= 1.0):
+        interval = "(0, 1]" if positive else "[0, 1]"
+        raise DomainError(f"{name} must lie in {interval}, got {x!r}")
+
+
 def reduce_theta(theta):
     """Map any real angle to [0, pi] by the even periodic extension."""
     return np.abs(np.mod(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi) - math.pi)
@@ -147,10 +153,8 @@ def nonideal_probs(theta: float, eta: float, v: float, kind: PatternKind) -> Pro
     The four cells sum to eta**2; dividing by that coincidence probability
     recovers (1 -/+ v*g)/4.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
-    if not (0.0 <= v <= 1.0):
-        raise DomainError(f"v must lie in [0, 1], got {v!r}")
+    _check_unit("eta", eta)
+    _check_unit("v", v)
     g = _correlation_shape(theta, kind)
     scale = 0.25 * eta * eta
     anti = scale * (1.0 - v * g)
@@ -190,15 +194,13 @@ def marginal_prob(eta: float) -> float:
     The same value for +1 and -1 at every setting; no-detection takes the
     remaining 1 - eta.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
+    _check_unit("eta", eta)
     return 0.5 * eta
 
 
 def correlation(theta: float, v: float, kind: PatternKind):
     """Conditional correlation E(theta) = -v * g(theta) given coincidence."""
-    if not (0.0 <= v <= 1.0):
-        raise DomainError(f"v must lie in [0, 1], got {v!r}")
+    _check_unit("v", v)
     return -v * _correlation_shape(theta, kind)
 
 
@@ -213,8 +215,7 @@ def chsh_value(v: float, kind: PatternKind, angles: ChshAngles = STANDARD_CHSH_A
 
 def chsh_bound(eta: float) -> float:
     """Largest S any local model must respect at efficiency eta, 4/eta - 2."""
-    if eta <= 0.0:
-        raise DomainError(f"eta must be positive, got {eta!r}")
+    _check_unit("eta", eta, positive=True)
     return 4.0 / eta - 2.0
 
 
@@ -229,10 +230,8 @@ def bell_generalized_slack(
     first touches zero at eta = 8/9 for v = 1 with the classic triple
     (pi/3, 2*pi/3, pi/3).
     """
-    if eta <= 0.0:
-        raise DomainError(f"eta must be positive, got {eta!r}")
-    if not (0.0 <= v <= 1.0):
-        raise DomainError(f"v must lie in [0, 1], got {v!r}")
+    _check_unit("eta", eta, positive=True)
+    _check_unit("v", v)
     e_ab = -v * math.cos(theta_ab)
     e_ac = -v * math.cos(theta_ac)
     e_bc = -v * math.cos(theta_bc)
@@ -241,29 +240,24 @@ def bell_generalized_slack(
 
 def max_visibility(eta: float, kind: PatternKind) -> float:
     """Largest visibility the kind reaches at efficiency eta, capped at 1."""
-    if eta <= 0.0:
-        raise DomainError(f"eta must be positive, got {eta!r}")
+    _check_unit("eta", eta, positive=True)
     return min(1.0, (4.0 / eta - 2.0) / kind.amplitude_constant)
 
 
 def classify_region(eta: float, v: float) -> RegionVerdict:
     """Classify one (eta, v) point against both frontiers and CHSH.
 
-    Decisions reuse the exact scaled comparison of the parameter solver, so
-    classify_region never disagrees with solve_params, and a CHSH-violating
-    point is never staircase-feasible.  The gap flag marks points no
-    pattern kind covers even though CHSH is satisfied.
+    Every decision is is_feasible, the rule solve_params applies, so
+    classify_region never disagrees with solve_params.  The gap flag marks
+    points no pattern kind covers even though CHSH is satisfied.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
-    if not (0.0 <= v <= 1.0):
-        raise DomainError(f"v must lie in [0, 1], got {v!r}")
+    _check_unit("eta", eta)
+    _check_unit("v", v)
     sin_ok = is_feasible(eta, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
     line_ok = is_feasible(eta, v, PatternKind.SYMMETRIZED_STAIRCASE)
-    if eta == 0.0:
-        violated = False
-    else:
-        violated = 2.0 * SQRT2 * v > 4.0 / eta - 2.0 + FRONTIER_TOL
+    # The staircase frontier 2*sqrt(2)*v <= 4/eta - 2 is the CHSH bound, and
+    # the corner (1, 1), which is_feasible also excludes, violates CHSH.
+    violated = not line_ok
     gap = (not sin_ok) and (not violated)
     return RegionVerdict(
         eta=eta,

@@ -7,7 +7,7 @@ class SingletLhvError(Exception):
 
 class InfeasibleParameters(SingletLhvError):
     """Requested (efficiency, visibility) point lies outside the model's
-    feasible region, or explicit pattern parameters are inconsistent."""
+    feasible region."""
 
 
 class DegeneratePoint(SingletLhvError):

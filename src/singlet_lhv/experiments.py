@@ -29,7 +29,7 @@ from .analytic import (
     nonideal_probs,
     qm_probs,
 )
-from .errors import DegeneratePoint, EmptyTally, InfeasibleParameters, InvalidConfig
+from .errors import DegeneratePoint, EmptyTally, InfeasibleParameters
 from .model import (
     SQRT2,
     TWO_PI,
@@ -46,6 +46,7 @@ from .montecarlo import (
     FIVE_SIGMA,
     RunConfig,
     Tally,
+    _check_int,
     binomial_se,
     correlation_se,
     derive_seed,
@@ -89,10 +90,8 @@ def theta_sweep(
     Station one stays at angle 0; station two takes each grid angle.  Row i
     runs with child seed derive_seed(seed, i).
     """
-    if n_steps < 2:
-        raise InvalidConfig(f"n_steps must be at least 2, got {n_steps!r}")
-    if pairs_per_step < 1:
-        raise InvalidConfig(f"pairs_per_step must be at least 1, got {pairs_per_step!r}")
+    n_steps = _check_int("n_steps", n_steps, lo=2)
+    pairs_per_step = _check_int("pairs_per_step", pairs_per_step, lo=1)
     rows = []
     for i in range(n_steps):
         theta = i * math.pi / (n_steps - 1)
@@ -193,10 +192,7 @@ def chsh_experiment(
     S must exceed the bound by five combined standard errors, so runs at
     frontier parameters report no violation instead of a coin flip.
     """
-    if pairs_per_setting < 1:
-        raise InvalidConfig(
-            f"pairs_per_setting must be at least 1, got {pairs_per_setting!r}"
-        )
+    pairs_per_setting = _check_int("pairs_per_setting", pairs_per_setting, lo=1)
     pairs = (
         ("ac", angles.phi_a, angles.phi_c),
         ("ad", angles.phi_a, angles.phi_d),
@@ -237,10 +233,8 @@ def region_scan(eta_steps: int = 25, v_steps: int = 25) -> list[RegionVerdict]:
     as degenerate); the visibility grid is j/(v_steps - 1) for
     j = 0..v_steps - 1, so both endpoints appear.
     """
-    if eta_steps < 2:
-        raise InvalidConfig(f"eta_steps must be at least 2, got {eta_steps!r}")
-    if v_steps < 2:
-        raise InvalidConfig(f"v_steps must be at least 2, got {v_steps!r}")
+    eta_steps = _check_int("eta_steps", eta_steps, lo=2)
+    v_steps = _check_int("v_steps", v_steps, lo=2)
     rows = []
     for i in range(1, eta_steps + 1):
         eta = i / eta_steps
@@ -618,10 +612,7 @@ def verify_suite(
     against closed forms at 1e-9, and Monte Carlo statistics at five sigma
     with the given per-run budget.  Deterministic for a fixed seed.
     """
-    if pairs_budget < MIN_VERIFY_PAIRS:
-        raise InvalidConfig(
-            f"pairs_budget must be at least {MIN_VERIFY_PAIRS}, got {pairs_budget!r}"
-        )
+    pairs_budget = _check_int("pairs_budget", pairs_budget, lo=MIN_VERIFY_PAIRS)
 
     def sample(params, angle_1, angle_2, index, n_pairs=pairs_budget) -> Tally:
         cfg = RunConfig(

@@ -8,7 +8,7 @@ of three outcomes (+1, -1, or no detection) through a fixed partition of the
 the two stations arise from sharing lam; the response at one station never
 sees the other station's setting.
 
-A pattern is built from three ingredients controlled by (a, b, c):
+A pattern is built from three ingredients controlled by the heights (a, b, c):
 
 * a "core" region whose r-height above the phi' axis is w(phi') = a*|sin phi'|
   for the sinusoidal kinds, or a two-level staircase a*u(phi') with
@@ -26,26 +26,32 @@ station two swaps the halves and flips every sign.  The unsymmetrized
 sinusoidal kind instead gives station one a pure core (height a over the
 whole interval) and station two a pure band of height b, signs flipped.
 
-Solving a target (eta, v) for a symmetrized kind gives
+ModelParams(eta, v, kind) derives the heights from a target (eta, v); for a
+symmetrized kind
 
     b = eta - eta**2 / 2
     c = eta * (1 - v) / (2 - eta * (1 + v))
     a = K * v * eta**2 / 4,   K = pi (sinusoidal) or 2*sqrt(2) (staircase)
 
-and the construction fits inside the unit square iff a <= b <= 1/2, which
-in scaled form reads K * v <= 4/eta - 2.  The ideal corner eta = v = 1 makes
-c an indeterminate 0/0 and is rejected separately.
+and the unsymmetrized kind, which has no error band, takes c = 0 and needs
+v = 1.  The construction fits inside the unit square iff a <= b <= 1/2, and
+since b - a = eta**2/4 * (4/eta - 2 - K*v) that is the frontier
+K*v <= 4/eta - 2.  For the staircase this is the efficiency-adjusted CHSH
+bound of Garg and Mermin.  The ideal corner eta = v = 1 makes c an
+indeterminate 0/0 and is rejected separately.  One private rule,
+_infeasibility, makes every one of these decisions for is_feasible,
+ModelParams and solve_params alike.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePoint, DomainError, InfeasibleParameters
+from .errors import DegeneratePoint, DomainError, InfeasibleParameters, SingletLhvError
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -55,11 +61,9 @@ SQRT2 = math.sqrt(2.0)
 STAIRCASE_OUTER_LEVEL = SQRT2 - 1.0
 
 #: Absolute slack granted when comparing against the feasibility frontier,
-#: applied in the scaled units of K*v vs 4/eta - 2.  Shared by every
-#: feasibility decision in the package so they can never disagree.
+#: applied in the scaled units of K*v vs 4/eta - 2.  Only _infeasibility
+#: compares against the frontier, so no two feasibility decisions disagree.
 FRONTIER_TOL = 1e-12
-
-_CONSISTENCY_RTOL = 1e-12
 
 
 class PatternKind(enum.Enum):
@@ -112,124 +116,74 @@ class HiddenVariable:
             raise DomainError(f"r must lie in [0, 1), got {self.r!r}")
 
 
-def is_feasible(eta: float, v: float, kind: PatternKind) -> bool:
-    """True when a pattern of the given kind exists for (eta, v).
+def _infeasibility(eta: float, v: float, kind: PatternKind) -> SingletLhvError | None:
+    """The error a pattern at (eta, v, kind) raises, or None when it exists.
 
-    The test is K*v <= 4/eta - 2 + FRONTIER_TOL in scaled units, minus the
-    degenerate corner eta = v = 1 for the symmetrized kinds.  The
-    unsymmetrized kind carries no error band, so it additionally requires
-    v == 1 exactly.
+    This is the package's one feasibility rule.  In order: both values must
+    lie in [0, 1] (NaN never does); the unsymmetrized kind needs v == 1; the
+    symmetrized kinds exclude the corner eta = v = 1; and every eta > 0 must
+    satisfy the frontier K*v <= 4/eta - 2 + FRONTIER_TOL.
     """
-    if not (0.0 <= eta <= 1.0 and 0.0 <= v <= 1.0):
-        return False
-    if kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL and v != 1.0:
-        return False
-    if eta == 0.0:
-        return True
-    if kind is not PatternKind.UNSYMMETRIZED_SINUSOIDAL and eta == 1.0 and v == 1.0:
-        return False
-    return kind.amplitude_constant * v <= 4.0 / eta - 2.0 + FRONTIER_TOL
+    if not (0.0 <= eta <= 1.0):
+        return InfeasibleParameters(f"eta must lie in [0, 1], got {eta!r}")
+    if not (0.0 <= v <= 1.0):
+        return InfeasibleParameters(f"v must lie in [0, 1], got {v!r}")
+    symmetrized = kind is not PatternKind.UNSYMMETRIZED_SINUSOIDAL
+    if not symmetrized and v != 1.0:
+        return InfeasibleParameters(
+            f"the unsymmetrized sinusoidal pattern supports only v = 1, got v = {v!r}"
+        )
+    if symmetrized and eta == 1.0 and v == 1.0:
+        return DegeneratePoint("eta = v = 1 leaves the error-band weight undefined")
+    if eta > 0.0 and not kind.amplitude_constant * v <= 4.0 / eta - 2.0 + FRONTIER_TOL:
+        return InfeasibleParameters(
+            f"(eta, v) = ({eta!r}, {v!r}) violates "
+            f"{kind.amplitude_constant!r} * v <= 4/eta - 2 = {4.0 / eta - 2.0!r}"
+        )
+    return None
+
+
+def is_feasible(eta: float, v: float, kind: PatternKind) -> bool:
+    """True when a pattern of the given kind exists for (eta, v)."""
+    return _infeasibility(eta, v, kind) is None
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Solved pattern parameters for one (eta, v, kind) point.
+    """The pattern for one (eta, v, kind) point, with its derived heights.
 
-    Instances are validated on construction: ranges, the containment chain
-    a <= b <= 1/2 (or <= 1 for the unsymmetrized kind), and consistency of
-    (a, b, c) with the closed-form solutions at relative tolerance 1e-12.
+    Construction raises DegeneratePoint at eta = v = 1 for the symmetrized
+    kinds and InfeasibleParameters at every other point outside the feasible
+    region.  The heights a, b and c are solved from (eta, v) and are not
+    constructor arguments.  On a feasible point a <= b <= 1/2 holds, because
+    b - a = eta**2/4 * (4/eta - 2 - K*v).
     """
 
     eta: float
     v: float
-    a: float
-    b: float
-    c: float
     kind: PatternKind
+    a: float = field(init=False)
+    b: float = field(init=False)
+    c: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.eta <= 1.0):
-            raise InfeasibleParameters(f"eta must lie in [0, 1], got {self.eta!r}")
-        if not (0.0 <= self.v <= 1.0):
-            raise InfeasibleParameters(f"v must lie in [0, 1], got {self.v!r}")
-        if self.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
-            if self.v != 1.0:
-                raise InfeasibleParameters(
-                    "the unsymmetrized sinusoidal pattern has no error band "
-                    f"and supports only v = 1, got v = {self.v!r}"
-                )
-            if self.c != 0.0:
-                raise InfeasibleParameters(
-                    f"c must be 0 for the unsymmetrized kind, got {self.c!r}"
-                )
-            height_cap = 1.0
-        else:
-            if self.eta == 1.0 and self.v == 1.0:
-                raise DegeneratePoint(
-                    "eta = v = 1 leaves the error-band weight undefined"
-                )
-            if not (-_CONSISTENCY_RTOL <= self.c <= 1.0 + _CONSISTENCY_RTOL):
-                raise InfeasibleParameters(f"c must lie in [0, 1], got {self.c!r}")
-            height_cap = 0.5
-        tol = _CONSISTENCY_RTOL
-        if not (0.0 <= self.a <= self.b + tol and self.b <= height_cap + tol):
-            raise InfeasibleParameters(
-                f"containment a <= b <= {height_cap} fails for "
-                f"a = {self.a!r}, b = {self.b!r}"
-            )
-        self._check_consistency()
-
-    def _check_consistency(self) -> None:
+        error = _infeasibility(self.eta, self.v, self.kind)
+        if error is not None:
+            raise error
         eta, v = self.eta, self.v
-        b_expect = eta - 0.5 * eta * eta
-        a_expect = 0.25 * self.kind.amplitude_constant * v * eta * eta
-        if self.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
-            c_expect = 0.0
+        if self.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL or v == 1.0:
+            c = 0.0
         else:
-            c_expect = eta * (1.0 - v) / (2.0 - eta * (1.0 + v))
-        for name, got, expect in (
-            ("a", self.a, a_expect),
-            ("b", self.b, b_expect),
-            ("c", self.c, min(max(c_expect, 0.0), 1.0)),
-        ):
-            if not math.isclose(got, expect, rel_tol=_CONSISTENCY_RTOL, abs_tol=_CONSISTENCY_RTOL):
-                raise InfeasibleParameters(
-                    f"{name} = {got!r} is inconsistent with eta = {eta!r}, "
-                    f"v = {v!r} (expected {expect!r})"
-                )
+            c = eta * (1.0 - v) / (2.0 - eta * (1.0 + v))
+            c = min(max(c, 0.0), 1.0)
+        object.__setattr__(self, "a", 0.25 * self.kind.amplitude_constant * v * eta * eta)
+        object.__setattr__(self, "b", eta - 0.5 * eta * eta)
+        object.__setattr__(self, "c", c)
 
 
 def solve_params(eta: float, v: float, kind: PatternKind) -> ModelParams:
-    """Solve the pattern parameters reproducing (eta, v) for the given kind.
-
-    Raises DegeneratePoint at eta = v = 1 (symmetrized kinds) and
-    InfeasibleParameters anywhere else outside the feasible region,
-    including v != 1 for the unsymmetrized kind.
-    """
-    if not (0.0 <= eta <= 1.0):
-        raise InfeasibleParameters(f"eta must lie in [0, 1], got {eta!r}")
-    if not (0.0 <= v <= 1.0):
-        raise InfeasibleParameters(f"v must lie in [0, 1], got {v!r}")
-    if kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL and v != 1.0:
-        raise InfeasibleParameters(
-            "the unsymmetrized sinusoidal pattern supports only v = 1"
-        )
-    if kind is not PatternKind.UNSYMMETRIZED_SINUSOIDAL and eta == 1.0 and v == 1.0:
-        raise DegeneratePoint("eta = v = 1 leaves the error-band weight undefined")
-    if not is_feasible(eta, v, kind):
-        bound = 4.0 / eta - 2.0
-        raise InfeasibleParameters(
-            f"(eta, v) = ({eta!r}, {v!r}) violates "
-            f"{kind.amplitude_constant!r} * v <= 4/eta - 2 = {bound!r}"
-        )
-    b = eta - 0.5 * eta * eta
-    a = 0.25 * kind.amplitude_constant * v * eta * eta
-    if kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL or v == 1.0:
-        c = 0.0
-    else:
-        c = eta * (1.0 - v) / (2.0 - eta * (1.0 + v))
-        c = min(max(c, 0.0), 1.0)
-    return ModelParams(eta=eta, v=v, a=a, b=b, c=c, kind=kind)
+    """Solve the pattern parameters reproducing (eta, v); same as ModelParams(eta, v, kind)."""
+    return ModelParams(eta, v, kind)
 
 
 def boundary(kind: PatternKind, a: float, phi: float) -> float:

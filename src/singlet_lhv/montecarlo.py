@@ -47,7 +47,9 @@ def _check_int(name: str, value, lo: int = 0) -> int:
     except TypeError:
         number = None
     if number is None or isinstance(value, bool) or not lo <= number <= _MASK64:
-        raise InvalidConfig(f"{name} must be an integer in [{lo}, 2**64 - 1], got {value!r}")
+        raise InvalidConfig(
+            f"{name} must be an integer at least {lo} and below 2**64, got {value!r}"
+        )
     return number
 
 

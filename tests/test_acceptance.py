@@ -30,6 +30,7 @@ from singlet_lhv import (
     sweep_gate,
     theta_sweep,
 )
+from singlet_lhv.montecarlo import FIVE_SIGMA, binomial_se, correlation_se, zscore
 from singlet_lhv.quadrature import outcome_probabilities
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
@@ -56,17 +57,11 @@ def test_criterion_01_coincidence_probabilities():
                             n_pairs=n, seed=7_700_000 + 100 * k + j)
             tally = run(cfg, workers=WORKERS)
             oracle = nonideal_probs(theta, eta, v, SIN)
-            for count, want in (
-                (tally.n_pp, oracle.p_pp), (tally.n_pm, oracle.p_pm),
-                (tally.n_mp, oracle.p_mp), (tally.n_mm, oracle.p_mm),
-            ):
-                got = count / n
-                se = math.sqrt(want * (1.0 - want) / n)
-                if se == 0.0:
-                    assert got == want
-                else:
-                    assert abs(got - want) <= 5.0 * se
-                    worst = max(worst, abs(got - want) / se)
+            for count, want in zip(tally.cells, oracle.as_tuple()):
+                # a zero-variance cell must match exactly: its z is 0 or inf
+                z = zscore(count / n, want, binomial_se(want, n))
+                assert z <= FIVE_SIGMA
+                worst = max(worst, z)
     print(f"criterion 01 PASS: 72 cells across 18 configs, worst {worst:.2f} sigma")
 
 
@@ -88,17 +83,17 @@ def test_criterion_03_marginals_and_independence():
     params = solve_params(eta, v, SIN)
     angle_pairs = ((0.0, 0.9), (0.4, 1.7), (2.2, 0.1), (5.5, 3.3))
     worst = 0.0
+    n = 2_000_000
     for j, (a1, a2) in enumerate(angle_pairs):
         cfg = RunConfig(params=params, angle_1=a1, angle_2=a2,
-                        n_pairs=2_000_000, seed=7_900_000 + j)
+                        n_pairs=n, seed=7_900_000 + j)
         est = estimate(run(cfg, workers=WORKERS))
-        for got, se_key in ((est.eta_1, "eta_1"), (est.eta_2, "eta_2")):
-            se = est.std_errors[se_key]
-            assert abs(got - eta) <= 5.0 * se
-            worst = max(worst, abs(got - eta) / se)
-        se_c = est.std_errors["coincidence"]
-        assert abs(est.coincidence_rate - eta * eta) <= 5.0 * se_c
-        worst = max(worst, abs(est.coincidence_rate - eta * eta) / se_c)
+        # standard errors from the sampled rates, as estimate() reports them
+        for got, want in ((est.eta_1, eta), (est.eta_2, eta),
+                          (est.coincidence_rate, eta * eta)):
+            z = zscore(got, want, binomial_se(got, n))
+            assert z <= FIVE_SIGMA
+            worst = max(worst, z)
     print(f"criterion 03 PASS: per-side efficiency and coincidence rate, "
           f"worst {worst:.2f} sigma")
 
@@ -110,12 +105,12 @@ def test_criterion_04_conditional_correlation():
                        seed=8_000_000, workers=WORKERS)
     gate = sweep_gate(rows, params)
     assert gate.passed
-    assert gate.max_sigma <= 5.0
+    assert gate.max_sigma <= FIVE_SIGMA
 
     row0 = rows[0]
     assert row0.theta == 0.0
-    se0 = math.sqrt((1.0 - v * v) / (row0.n_pairs * eta * eta))
-    assert abs(-row0.corr_mc - v) <= 5.0 * se0
+    se0 = correlation_se(v, row0.n_pairs * eta * eta)
+    assert zscore(-row0.corr_mc, v, se0) <= FIVE_SIGMA
     print(f"criterion 04 PASS: 25-point sweep worst {gate.max_sigma:.2f} sigma, "
           f"recovered v = {-row0.corr_mc:.5f}")
 
@@ -139,12 +134,13 @@ def test_criterion_06_staircase_chsh_frontier():
     params = solve_params(eta, max_visibility(eta, LINE), LINE)
     rep = chsh_experiment(params, pairs_per_setting=4_000_000,
                           seed=8_100_000, workers=WORKERS)
-    assert abs(rep.s_mc - rep.bound) <= 5.0 * rep.se_s
-    assert rep.s_mc <= rep.bound + 5.0 * rep.se_s
+    z = zscore(rep.s_mc, rep.bound, rep.se_s)
+    assert z <= FIVE_SIGMA
+    assert rep.s_mc <= rep.bound + FIVE_SIGMA * rep.se_s
     assert not rep.violated_mc
     print(f"criterion 06 PASS: staircase frontier tracks (4/eta-2)/(2*sqrt(2)); "
           f"S = {rep.s_mc:.4f} vs bound {rep.bound:.4f} "
-          f"({abs(rep.s_mc - rep.bound) / rep.se_s:.2f} sigma)")
+          f"({z:.2f} sigma)")
 
 
 def test_criterion_07_gap_region_and_scan_determinism(tmp_path):

@@ -320,6 +320,38 @@ class TestClassifyRegion:
             classify_region(0.5, -0.5)
 
 
+NAN = math.nan
+ANGLES = (0.1, 0.2, 0.1)
+
+
+@pytest.mark.parametrize("func, args", [
+    # eta past 1, where 4/eta - 2 is still a finite number
+    (chsh_bound, (1.5,)),
+    (max_visibility, (2.0, SIN)),
+    (bell_generalized_slack, (1.5, 1.0, *ANGLES)),
+    # eta = 0, wherever 4/eta appears
+    (chsh_bound, (0.0,)),
+    (max_visibility, (0.0, LINE)),
+    (bell_generalized_slack, (0.0, 1.0, *ANGLES)),
+    # NaN, which fails every comparison, and other out-of-range values
+    (chsh_bound, (NAN,)),
+    (max_visibility, (NAN, LINE)),
+    (bell_generalized_slack, (NAN, 1.0, *ANGLES)),
+    (bell_generalized_slack, (0.9, NAN, *ANGLES)),
+    (nonideal_probs, (0.1, NAN, 0.5, SIN)),
+    (nonideal_probs, (0.1, 0.5, NAN, SIN)),
+    (marginal_prob, (NAN,)),
+    (marginal_prob, (1.5,)),
+    (correlation, (0.1, NAN, SIN)),
+    (correlation, (0.1, 1.5, SIN)),
+    (classify_region, (NAN, 0.5)),
+    (classify_region, (0.5, NAN)),
+], ids=lambda x: x.__name__ if callable(x) else ",".join(map(str, x)))
+def test_unit_interval_domain(func, args):
+    with pytest.raises(DomainError):
+        func(*args)
+
+
 class TestReduceTheta:
     def test_folds_into_zero_pi(self):
         assert float(reduce_theta(5.0 * math.pi / 3.0)) == pytest.approx(

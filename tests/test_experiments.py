@@ -73,6 +73,11 @@ class TestThetaSweep:
             theta_sweep(self.p, n_steps=1)
         with pytest.raises(InvalidConfig):
             theta_sweep(self.p, n_steps=5, pairs_per_step=0)
+        for bad in (2.5, 5.0, True):
+            with pytest.raises(InvalidConfig):
+                theta_sweep(self.p, n_steps=bad, pairs_per_step=10)
+            with pytest.raises(InvalidConfig):
+                theta_sweep(self.p, n_steps=2, pairs_per_step=bad)
 
 
 class TestSweepGate:
@@ -131,8 +136,10 @@ class TestChshExperiment:
         assert not rep.violated_mc
 
     def test_validation(self):
-        with pytest.raises(InvalidConfig):
-            chsh_experiment(solve_params(0.7, 1.0, SIN), pairs_per_setting=0)
+        p = solve_params(0.7, 1.0, SIN)
+        for bad in (0, 2.5, 10.0, True):
+            with pytest.raises(InvalidConfig):
+                chsh_experiment(p, pairs_per_setting=bad)
 
 
 class TestRegionScan:
@@ -174,12 +181,18 @@ class TestRegionScan:
             region_scan(1, 25)
         with pytest.raises(InvalidConfig):
             region_scan(25, 1)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(InvalidConfig):
+                region_scan(bad, 2)
+            with pytest.raises(InvalidConfig):
+                region_scan(2, bad)
 
 
 class TestVerifySuite:
     def test_rejects_tiny_budget(self):
-        with pytest.raises(InvalidConfig):
-            verify_suite(pairs_budget=MIN_VERIFY_PAIRS - 1)
+        for bad in (MIN_VERIFY_PAIRS - 1, float(MIN_VERIFY_PAIRS), True):
+            with pytest.raises(InvalidConfig):
+                verify_suite(pairs_budget=bad)
 
     def test_full_suite_passes_at_minimum_budget(self):
         report = verify_suite(pairs_budget=MIN_VERIFY_PAIRS, seed=42)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlet_lhv import (
     DegeneratePoint,
@@ -13,12 +15,14 @@ from singlet_lhv import (
     Outcome,
     PatternKind,
     boundary,
+    classify_region,
     is_feasible,
     measure,
     measure_many,
     solve_params,
     unsymmetrized_marginals,
 )
+from singlet_lhv.model import FRONTIER_TOL
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -120,29 +124,76 @@ class TestFeasibility:
         assert not is_feasible(1.0, 1.0, LINE)
 
 
+# Points of every kind: random ones, the range edges and NaN, and the
+# frontier K*v = 4/eta - 2 (and the same line shifted by FRONTIER_TOL, where
+# the decision flips) together with one ulp on either side of it.
+_VALUES = st.one_of(st.floats(-0.25, 1.25), st.sampled_from((0.0, 1.0, math.nan)))
+
+
+@st.composite
+def _frontier_points(draw):
+    kind = draw(st.sampled_from(PatternKind))
+    eta = draw(st.floats(0.01, 1.0))
+    offset = draw(st.sampled_from((0.0, FRONTIER_TOL)))
+    v = (4.0 / eta - 2.0 + offset) / kind.amplitude_constant
+    toward = draw(st.sampled_from((None, -math.inf, math.inf)))
+    if toward is not None:
+        v = math.nextafter(v, toward)
+    return eta, v, kind
+
+
+_POINTS = st.one_of(
+    st.tuples(_VALUES, _VALUES, st.sampled_from(PatternKind)), _frontier_points()
+)
+_CORNERS = [
+    (eta, v, kind) for eta in (0.0, 1.0) for v in (0.0, 1.0) for kind in PatternKind
+]
+
+
+def _check_point(eta, v, kind):
+    try:
+        p = ModelParams(eta, v, kind)
+    except (InfeasibleParameters, DegeneratePoint) as exc:
+        assert not is_feasible(eta, v, kind)
+        corner = kind is not UNSYM and eta == 1.0 and v == 1.0
+        assert isinstance(exc, DegeneratePoint) == corner
+        with pytest.raises(type(exc)):
+            solve_params(eta, v, kind)
+    else:
+        assert is_feasible(eta, v, kind)
+        assert (p.eta, p.v, p.kind) == (eta, v, kind)
+        cap = 1.0 if kind is UNSYM else 0.5
+        assert 0.0 <= p.a <= p.b + 1e-12
+        assert p.b <= cap
+        assert 0.0 <= p.c <= 1.0
+
+    if 0.0 <= eta <= 1.0 and 0.0 <= v <= 1.0:
+        # reference: the efficiency-adjusted CHSH bound, written out apart
+        # from the feasibility rule
+        chsh = eta > 0.0 and 2.0 * math.sqrt(2.0) * v > 4.0 / eta - 2.0 + FRONTIER_TOL
+        assert classify_region(eta, v).chsh_violated == chsh
+
+
 class TestModelParamsValidation:
-    def test_rejects_a_above_b(self):
-        with pytest.raises(InfeasibleParameters):
-            ModelParams(eta=0.7, v=1.0, a=0.5, b=0.455, c=0.0, kind=SIN)
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(_POINTS)
+    def test_constructs_exactly_when_feasible(self, point):
+        _check_point(*point)
 
-    def test_rejects_inconsistent_a(self):
-        with pytest.raises(InfeasibleParameters):
-            ModelParams(eta=0.7, v=1.0, a=0.3, b=0.45499999999999996, c=0.0, kind=SIN)
+    @pytest.mark.parametrize("eta, v, kind", _CORNERS)
+    def test_corners(self, eta, v, kind):
+        _check_point(eta, v, kind)
 
-    def test_rejects_bad_c(self):
-        with pytest.raises(InfeasibleParameters):
-            ModelParams(eta=0.7, v=0.8, a=0.30787608005179967,
-                        b=0.45499999999999996, c=0.9, kind=SIN)
-
-    def test_rejects_unsym_with_error_band(self):
-        with pytest.raises(InfeasibleParameters):
-            ModelParams(eta=0.7, v=1.0, a=0.38484510006474965,
-                        b=0.45499999999999996, c=0.1, kind=UNSYM)
+    @pytest.mark.parametrize("height", ["a", "b", "c"])
+    def test_heights_are_not_arguments(self, height):
+        with pytest.raises(TypeError):
+            ModelParams(eta=0.7, v=1.0, kind=SIN, **{height: 0.3})
 
     def test_roundtrips_solved_values(self):
         p = solve_params(0.62, 0.44, LINE)
-        q = ModelParams(eta=p.eta, v=p.v, a=p.a, b=p.b, c=p.c, kind=p.kind)
+        q = ModelParams(p.eta, p.v, p.kind)
         assert q == p
+        assert (q.a, q.b, q.c) == (p.a, p.b, p.c)
 
 
 class TestBoundary:
