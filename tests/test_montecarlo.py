@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,10 +21,13 @@ from singlet_lhv import (
     tally_outcomes,
 )
 
-from singlet_lhv.montecarlo import binomial_se, zscore
+from singlet_lhv import montecarlo
+from singlet_lhv.model import TWO_PI, DetectorSide, measure_many
+from singlet_lhv.montecarlo import _TILE, _chunk_tally, binomial_se, zscore
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
+UNSYM = PatternKind.UNSYMMETRIZED_SINUSOIDAL
 
 
 class TestSeeding:
@@ -167,6 +171,45 @@ class TestTally:
             n_single_1=2, n_single_2=2, n_none=1, n_total=9,
         )
 
+    def test_tally_outcomes_takes_any_integer_input(self):
+        rng = np.random.Generator(np.random.Philox(key=4))
+        o1 = rng.integers(-1, 2, size=1000)
+        o2 = rng.integers(-1, 2, size=1000)
+        pairs = list(zip(o1.tolist(), o2.tolist()))
+        want = Tally(
+            n_pp=pairs.count((1, 1)), n_pm=pairs.count((1, -1)),
+            n_mp=pairs.count((-1, 1)), n_mm=pairs.count((-1, -1)),
+            n_single_1=pairs.count((1, 0)) + pairs.count((-1, 0)),
+            n_single_2=pairs.count((0, 1)) + pairs.count((0, -1)),
+            n_none=pairs.count((0, 0)), n_total=1000,
+        )
+        assert tally_outcomes(o1.astype(np.int8), o2.astype(np.int8)) == want
+        assert tally_outcomes(o1.astype(np.int64), o2.astype(np.int64)) == want
+        assert tally_outcomes(o1.tolist(), o2.tolist()) == want
+
+
+class TestTiles:
+    """A chunk measured tile by tile tallies exactly as the whole chunk does."""
+
+    @pytest.mark.parametrize(
+        "chunk_size", [1, _TILE - 1, _TILE, _TILE + 1, (1 << 16) + 5]
+    )
+    def test_tiled_chunk_equals_untiled(self, chunk_size):
+        n_pairs = 5 if chunk_size == 1 else 2 * chunk_size - 3
+        for kind, eta, v in ((SIN, 0.7, 0.8), (LINE, 0.9, 0.75), (UNSYM, 0.7, 1.0)):
+            p = solve_params(eta, v, kind)
+            cfg = RunConfig(params=p, angle_1=0.3, angle_2=2.0 + 4.0 * math.pi,
+                            n_pairs=n_pairs, seed=17, chunk_size=chunk_size)
+            for k in range(cfg.n_chunks):
+                m = min(chunk_size, n_pairs - k * chunk_size)
+                u = substream(cfg.seed, k).random((m, 2))
+                phi, r = TWO_PI * u[:, 0], u[:, 1]
+                want = tally_outcomes(
+                    measure_many(phi, r, cfg.angle_1, DetectorSide.ONE, p),
+                    measure_many(phi, r, cfg.angle_2, DetectorSide.TWO, p),
+                )
+                assert _chunk_tally(cfg, k) == want
+
 
 class TestRun:
     def setup_method(self):
@@ -191,6 +234,36 @@ class TestRun:
         serial = run(self.cfg)
         assert run(self.cfg, workers=4) == serial
         assert run(self.cfg, workers=7) == serial
+
+    def test_workers_are_clamped_to_chunks_and_cpus(self, monkeypatch):
+        made = []
+
+        class RecordingPool:
+            """Stands in for ThreadPoolExecutor and starts no thread."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self, wait):
+                pass
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=3 * 4096,
+                        seed=9, chunk_size=4096)
+        one_chunk = dataclasses.replace(cfg, n_pairs=4096)
+        serial = {cfg: run(cfg), one_chunk: run(one_chunk)}
+        for cpus, workers, chunk_cfg, pool_size in (
+            (4, 1000, cfg, 3), (4, 2, cfg, 2), (2, 7, cfg, 2),
+            (4, 8, one_chunk, None), (1, 8, cfg, None), (None, 8, cfg, None),
+            (4, 0, cfg, None), (4, None, cfg, None),
+        ):
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+            made.clear()
+            assert run(chunk_cfg, workers=workers) == serial[chunk_cfg]
+            assert made == ([] if pool_size is None else [pool_size])
 
     def test_tail_chunk(self):
         cfg = RunConfig(
