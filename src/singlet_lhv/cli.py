@@ -15,11 +15,14 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .analytic import STANDARD_CHSH_ANGLES, ChshAngles, max_visibility
 from .errors import DegeneratePoint, InfeasibleParameters, InvalidConfig, SingletLhvError
 from .experiments import chsh_experiment, region_scan, sweep_gate, theta_sweep, verify_suite
 from .model import ModelParams, PatternKind, solve_params
+from .montecarlo import DEFAULT_CHUNK_SIZE
 
 _MODEL_NAMES = {
     "sin": PatternKind.SYMMETRIZED_SINUSOIDAL,
@@ -67,11 +70,18 @@ def _jsonable(value):
 
 
 def _json_text(command: str, seed, params: ModelParams | None, rows, extra=None) -> str:
+    # Every command that takes a pattern samples it in default-size chunks;
+    # region takes none and samples nothing.
     meta = {
         "command": command,
         "version": __version__,
+        "numpy": np.__version__,
         "seed": seed,
-        "params": None if params is None else {"a": params.a, "b": params.b, "c": params.c},
+        "chunk_size": None if params is None else DEFAULT_CHUNK_SIZE,
+        "params": None if params is None else {
+            "kind": params.kind.value, "eta": params.eta, "v": params.v,
+            "a": params.a, "b": params.b, "c": params.c,
+        },
     }
     doc = {"meta": meta, "rows": [
         {k: _jsonable(v) for k, v in row.items()} for row in rows

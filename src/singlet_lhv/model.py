@@ -235,11 +235,20 @@ def _shifted_phase(phi: np.ndarray, detector_angle: float) -> np.ndarray:
     np.mod(x, 2*pi) is fmod(x, 2*pi), plus 2*pi when that is negative.  fmod
     is exact and returns x itself when |x| < 2*pi, so it runs only when some
     |x| reaches 2*pi, which never happens while phi and the setting both lie
-    in [0, 2*pi).
+    in [0, 2*pi).  Only when that range test fails are the same minimum and
+    maximum checked for NaN and infinities, which raise DomainError.
     """
     out = np.subtract(phi, detector_angle)
-    if out.size and not (out.min() > -TWO_PI and out.max() < TWO_PI):
-        np.fmod(out, TWO_PI, out=out)
+    if out.size:
+        lo, hi = out.min(), out.max()
+        if not (lo > -TWO_PI and hi < TWO_PI):
+            # min and max propagate NaN, so both are finite iff every element is.
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError(
+                    "phi - detector_angle must be finite, got values in "
+                    f"[{float(lo)!r}, {float(hi)!r}]"
+                )
+            np.fmod(out, TWO_PI, out=out)
     out += TWO_PI * (out < 0.0)
     # A tiny negative remainder plus 2*pi can round up to exactly 2*pi.
     out[out >= TWO_PI] = 0.0
@@ -261,8 +270,9 @@ def measure_many(
 
     phi and r hold the hidden variables and broadcast against each other; a
     0-d pair gives a 0-d result.  detector_angle may be any real and is
-    reduced mod 2*pi.  Event by event the result equals measure(), the
-    plain-Python reference, bit for bit.
+    reduced mod 2*pi; a NaN or infinite phase or angle raises DomainError,
+    as HiddenVariable does for measure().  Event by event the result equals
+    measure(), the plain-Python reference, bit for bit.
 
     A symmetrized station evaluates its pattern only on its own r-half.  The
     constant detection band of the other half is decided for the whole array
@@ -351,6 +361,8 @@ def measure(
 
     This is the reference that measure_many is tested against.  It uses
     Python floats and the math module and shares no code with measure_many.
+    A non-finite detector_angle raises DomainError, as HiddenVariable does
+    for a phase outside [0, 2*pi).
     With pp the shifted phase, t = pp mod pi, and r_pat and r_band the
     offsets of r into the pattern half and the band half, the boundary
     conventions are:
@@ -367,6 +379,8 @@ def measure(
       also open at pp == 0 and pp == pi; its station two is a band of height
       b over all of r, - on [0, pi) and + on [pi, 2*pi).
     """
+    if not math.isfinite(detector_angle):
+        raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
     a, b, c = params.a, params.b, params.c
     pp = (lam.phi - detector_angle) % TWO_PI
     if pp >= TWO_PI:

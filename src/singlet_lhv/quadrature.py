@@ -17,6 +17,12 @@ multiple of pi/4, so the outer integral splits [0, 2*pi) at
 angle_i + k*pi/4 and applies Gauss-Legendre on each piece.  The result
 carries roughly 1e-11 absolute accuracy at the default knobs, far below the
 tolerances it is used to certify.
+
+The dense scan and the length sums run over near-equal blocks of whole phi
+rows, about _BLOCK probes each, so a block's temporaries stay in cache;
+only one int8 label per probe is kept for the whole grid.  The bisection is one batched pass over the gaps of every row.
+Labels are elementwise and each length is a sum over one contiguous row,
+so the table is bit-identical for every block size.
 """
 
 from __future__ import annotations
@@ -29,8 +35,16 @@ import numpy as np
 from .analytic import ProbQuad
 from .errors import InvalidConfig
 from .model import TWO_PI, DetectorSide, ModelParams, measure_many
+from .montecarlo import _check_int
 
 _ANCHOR_EPS = 1e-12
+
+#: Elements per block of whole phi rows in the dense label scan and the
+#: length sums, so that one block's temporaries stay in cache.  Timings are
+#: flat from 32Ki to 64Ki; at 64Ki and the default knobs every dense
+#: measure_many call holds at least 64Ki elements, the size that perfbench's
+#: traced run counts as "bulk" apart from the bisection's small calls.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,9 +100,11 @@ def _breakpoints(angle_1: float, angle_2: float) -> np.ndarray:
 def _labels(
     phi: np.ndarray, r: np.ndarray, angle_1: float, angle_2: float, params: ModelParams
 ) -> np.ndarray:
-    o1 = measure_many(phi, r, angle_1, DetectorSide.ONE, params)
-    o2 = measure_many(phi, r, angle_2, DetectorSide.TWO, params)
-    return 3 * (o1.astype(np.intp) + 1) + (o2.astype(np.intp) + 1)
+    """The joint label 3*o1 + o2 + 4 in 0..8, folded in int8 as tally_outcomes does."""
+    label = measure_many(phi, r, angle_1, DetectorSide.ONE, params) * np.int8(3)
+    label += measure_many(phi, r, angle_2, DetectorSide.TWO, params)
+    label += np.int8(4)
+    return label
 
 
 def outcome_probabilities(
@@ -107,12 +123,9 @@ def outcome_probabilities(
     is (regions thinner than 1/r_probes next to another boundary can be
     missed, which the default makes irrelevant for solved parameters).
     """
-    if r_probes < 16:
-        raise InvalidConfig(f"r_probes must be at least 16, got {r_probes!r}")
-    if gl_order < 2:
-        raise InvalidConfig(f"gl_order must be at least 2, got {gl_order!r}")
-    if bisect_iters < 1:
-        raise InvalidConfig(f"bisect_iters must be at least 1, got {bisect_iters!r}")
+    r_probes = _check_int("r_probes", r_probes, lo=16)
+    gl_order = _check_int("gl_order", gl_order, lo=2)
+    bisect_iters = _check_int("bisect_iters", bisect_iters, lo=1)
     if not (math.isfinite(angle_1) and math.isfinite(angle_2)):
         raise InvalidConfig(f"angles must be finite, got {(angle_1, angle_2)!r}")
 
@@ -136,10 +149,20 @@ def outcome_probabilities(
     )
     probes = np.unique(np.concatenate([probes, anchors]))
     n_probe = probes.size
+    # Near-equal blocks of whole rows, about _BLOCK elements each, so that
+    # no short tail block is left over.
+    n_blocks = min(n_phi, max(1, n_phi * n_probe // _BLOCK))
+    cuts = [k * n_phi // n_blocks for k in range(n_blocks + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    rows = -(-n_phi // n_blocks)
 
-    phi_flat = np.repeat(phi_nodes, n_probe)
-    r_flat = np.tile(probes, n_phi)
-    labels = _labels(phi_flat, r_flat, angle_1, angle_2, params).reshape(n_phi, n_probe)
+    labels = np.empty((n_phi, n_probe), dtype=np.int8)
+    for blk in blocks:
+        nb = blk.stop - blk.start
+        labels[blk] = _labels(
+            np.repeat(phi_nodes[blk], n_probe), np.tile(probes, nb),
+            angle_1, angle_2, params,
+        ).reshape(nb, n_probe)
 
     # Refine every probe interval whose endpoints carry different labels.
     ii, jj = np.nonzero(labels[:, :-1] != labels[:, 1:])
@@ -153,20 +176,27 @@ def outcome_probabilities(
         take = lab_mid == lab_lo
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
+    cut = 0.5 * (lo + hi)
 
-    interior = np.broadcast_to(
-        0.5 * (probes[:-1] + probes[1:]), (n_phi, n_probe - 1)
-    ).copy()
-    interior[ii, jj] = 0.5 * (lo + hi)
-    grid_edges = np.empty((n_phi, n_probe + 1))
-    grid_edges[:, 0] = 0.0
-    grid_edges[:, -1] = 1.0
-    grid_edges[:, 1:-1] = interior
-    seg = grid_edges[:, 1:] - grid_edges[:, :-1]
-
+    # Each probe owns the r-length between the edges around it: the probe
+    # midpoints, or the refined cut where a gap was bisected.  Gaps come in
+    # row-major order, so each block's gaps are one slice of them.
+    midpoints = 0.5 * (probes[:-1] + probes[1:])
+    grid = np.empty((rows, n_probe + 1))
+    grid[:, 0] = 0.0
+    grid[:, -1] = 1.0
+    seg = np.empty((rows, n_probe))
     length_by_label = np.zeros((n_phi, 9))
-    for lab in range(9):
-        length_by_label[:, lab] = np.where(labels == lab, seg, 0.0).sum(axis=1)
+    for blk in blocks:
+        nb = blk.stop - blk.start
+        g, s = grid[:nb], seg[:nb]
+        g[:, 1:-1] = midpoints
+        first, last = np.searchsorted(ii, (blk.start, blk.stop))
+        g[ii[first:last] - blk.start, jj[first:last] + 1] = cut[first:last]
+        np.subtract(g[:, 1:], g[:, :-1], out=s)
+        lab_blk = labels[blk]
+        for lab in range(9):
+            length_by_label[blk, lab] = np.where(lab_blk == lab, s, 0.0).sum(axis=1)
 
     integral = phi_weights @ length_by_label / TWO_PI
     return PatternIntegral(

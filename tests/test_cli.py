@@ -3,9 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from singlet_lhv import __version__, derive_seed
+from singlet_lhv.montecarlo import DEFAULT_CHUNK_SIZE
 
 CLI = [sys.executable, "-m", "singlet_lhv.cli"]
 
@@ -100,6 +102,27 @@ class TestSweep:
         assert len(doc["rows"]) == 3
         assert doc["rows"][0]["theta"] == 0.0
 
+    def test_json_meta_records_provenance(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        res = run_cli(
+            "sweep", "--eta", "0.7", "--v", "0.8", "--model", "line",
+            "--steps", "2", "--pairs", "2000", "--seed", "5",
+            "--format", "json", "--out", str(out),
+        )
+        assert res.returncode == 0
+        assert json.loads(out.read_text())["meta"] == {
+            "command": "sweep",
+            "version": __version__,
+            "numpy": np.__version__,
+            "seed": 5,
+            "chunk_size": DEFAULT_CHUNK_SIZE,
+            "params": {
+                "kind": "line", "eta": 0.7, "v": 0.8,
+                "a": 0.27718585822512665, "b": 0.45499999999999996,
+                "c": 0.18918918918918914,
+            },
+        }
+
     def test_rejects_zero_pairs(self, tmp_path):
         res = run_cli(
             "sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin",
@@ -148,7 +171,14 @@ class TestChsh:
         assert doc["bound"] == 2.4444444444444446
         assert doc["violated_mc"] is False
         assert len(doc["rows"]) == 4
-        assert doc["meta"]["command"] == "chsh"
+        meta = doc["meta"]
+        assert meta["command"] == "chsh"
+        assert (meta["seed"], meta["numpy"], meta["chunk_size"]) == (
+            14, np.__version__, DEFAULT_CHUNK_SIZE,
+        )
+        assert {k: meta["params"][k] for k in ("kind", "eta", "v")} == {
+            "kind": "line", "eta": 0.9, "v": 0.86,
+        }
 
     def test_degree_angles_match_radian_default(self):
         base = run_cli(

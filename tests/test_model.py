@@ -450,6 +450,24 @@ class TestMeasureManyMatchesReference:
             column = measure_many(np.full((3, 1), phi), r, 0.4, side, p)
             assert column.shape == (3, 1) and column.ravel().tolist() == [want] * 3
 
+    @pytest.mark.parametrize("kind, eta, v", _REFERENCE_POINTS[:3])
+    @pytest.mark.parametrize("side", list(DetectorSide))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_or_angle_is_rejected(self, kind, eta, v, side, bad):
+        # HiddenVariable rejects such a phase for measure(); r = 0.01 lies in
+        # station one's pattern half, where the kinds once answered -1 or 0.
+        p = ModelParams(eta, v, kind)
+        phi = np.array([1.0, bad, 4.0])
+        r = np.full(3, 0.01)
+        with pytest.raises(DomainError):
+            measure_many(phi, r, 0.4, side, p)
+        with pytest.raises(DomainError):
+            measure_many(np.array([1.0, 4.0]), np.array([0.01, 0.6]), bad, side, p)
+        with pytest.raises(DomainError):
+            measure(HiddenVariable(1.0, 0.01), bad, side, p)
+        with pytest.raises(DomainError):
+            measure_many(bad, 0.01, 0.0, side, p)
+
 
 class TestHiddenVariable:
     def test_domain(self):

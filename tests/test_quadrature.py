@@ -12,6 +12,7 @@ from singlet_lhv import (
     nonideal_probs,
     solve_params,
 )
+from singlet_lhv import quadrature
 from singlet_lhv.quadrature import outcome_probabilities
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
@@ -164,12 +165,21 @@ class TestInterface:
             pi.joint(0, -2)
 
     def test_knob_validation(self):
-        with pytest.raises(InvalidConfig):
-            outcome_probabilities(self.p, 0.0, 0.5, r_probes=8)
-        with pytest.raises(InvalidConfig):
-            outcome_probabilities(self.p, 0.0, 0.5, gl_order=1)
-        with pytest.raises(InvalidConfig):
-            outcome_probabilities(self.p, 0.0, 0.5, bisect_iters=0)
+        for knob, bad in (
+            ("r_probes", 8), ("r_probes", 100.5), ("r_probes", 64.0), ("r_probes", True),
+            ("gl_order", 1), ("gl_order", 4.5), ("gl_order", "8"),
+            ("bisect_iters", 0), ("bisect_iters", 2.5), ("bisect_iters", -3),
+        ):
+            with pytest.raises(InvalidConfig):
+                outcome_probabilities(self.p, 0.0, 0.5, **{knob: bad})
+
+    def test_integer_knobs_accept_numpy_integers(self):
+        knobs = {"r_probes": 64, "gl_order": 4, "bisect_iters": 20}
+        want = outcome_probabilities(self.p, 0.0, 0.5, **knobs).table
+        got = outcome_probabilities(
+            self.p, 0.0, 0.5, **{k: np.int64(n) for k, n in knobs.items()}
+        ).table
+        assert got.tobytes() == want.tobytes()
 
     def test_coarse_knobs_still_close(self):
         pi = outcome_probabilities(self.p, 0.3, 0.3 + 1.0, r_probes=256, gl_order=10)
@@ -177,3 +187,24 @@ class TestInterface:
         np.testing.assert_allclose(
             pi.prob_quad().as_tuple(), q.as_tuple(), rtol=0.0, atol=1e-6
         )
+
+
+class TestRowBlocks:
+    """The table does not depend on how many phi rows one block holds."""
+
+    # With r_probes=64 a row holds 68 probes (64 plus four anchors), so these
+    # give one row per block, two, an uneven mix of three and four, and one
+    # block for the whole grid.
+    @pytest.mark.parametrize("block", [1, 2 * 68, 3 * 68 + 5, 1 << 30])
+    def test_block_size_never_moves_a_bit(self, monkeypatch, block):
+        cases = [
+            (solve_params(0.7, 0.8, SIN), 0.3, 1.3),
+            (solve_params(0.9, 0.6, LINE), 0.0, math.pi / 4.0),
+            (solve_params(0.7, 1.0, UNSYM), 5.0 - 2.0 * math.pi, 0.2 + 4.0 * math.pi),
+        ]
+        want = [outcome_probabilities(p, a1, a2, r_probes=64, gl_order=6).table
+                for p, a1, a2 in cases]
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        for (p, a1, a2), table in zip(cases, want):
+            got = outcome_probabilities(p, a1, a2, r_probes=64, gl_order=6).table
+            assert got.tobytes() == table.tobytes()
