@@ -20,9 +20,10 @@ tolerances it is used to certify.
 
 The dense scan and the length sums run over near-equal blocks of whole phi
 rows, about _BLOCK probes each, so a block's temporaries stay in cache;
-only one int8 label per probe is kept for the whole grid.  The bisection is one batched pass over the gaps of every row.
-Labels are elementwise and each length is a sum over one contiguous row,
-so the table is bit-identical for every block size.
+only one int8 label per probe is kept for the whole grid.  The bisection is
+one batched pass over the gaps of every row.  Labels are elementwise and
+each length is a sum over one contiguous row, so the table is bit-identical
+for every block size.
 """
 
 from __future__ import annotations
