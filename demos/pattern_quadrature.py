@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Check the sampler-free integration oracle against the closed forms.
 
-outcome_probabilities() integrates the detector patterns directly (probing
-and bisecting the r-axis, Gauss-Legendre in phi), so it shares no sampling
-code with the Monte Carlo engine.  Its 3x3 joint table, no-detection cells
-included, should land on the closed-form joint_table() to near machine
-precision for every pattern kind.
+outcome_probabilities() integrates the detector patterns directly (exact
+r-segments between the pattern cuts, Gauss-Legendre in phi), so it shares
+no sampling code with the Monte Carlo engine.  Its 3x3 joint table,
+no-detection cells included, should land on the closed-form joint_table()
+to near machine precision for every pattern kind.
 """
 
 import math

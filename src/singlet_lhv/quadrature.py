@@ -5,25 +5,23 @@ integrating the pattern geometry directly, giving an oracle for Monte Carlo
 results that shares no code path with the sampling engine beyond the
 measurement function itself.
 
-Method.  For fixed phi the joint outcome is piecewise constant in r, with a
-handful of region boundaries (core height, error-band cap, the half split,
-and the detection-band edge on each station).  Those boundaries are
-recovered per phi node by probing a dense r grid, then bisecting every
-probe interval whose endpoints disagree; each probe then owns the r-length
-between the refined edges around it, which sums segment lengths into one
-length per joint label, exactly.  In phi the per-label lengths are analytic
-except at kinks located where either station's shifted phase crosses a
-multiple of pi/4, so the outer integral splits [0, 2*pi) at
-angle_i + k*pi/4 and applies Gauss-Legendre on each piece.  The result
-carries roughly 1e-11 absolute accuracy at the default knobs, far below the
-tolerances it is used to certify.
+Method.  For fixed phi the joint outcome is piecewise constant in r, and
+the geometry names every cut: station one changes at its core height w1,
+its error-band cap1, the half split 1/2 and its band edge 1/2 + b; station
+two at its band edge b and at 1/2 + w2 and 1/2 + cap2.  The unsymmetrized
+kind cuts only at w1 and b.  Each phi node's cuts are sorted into at most
+eight r-segments, measure_many labels every segment once at its midpoint,
+and the segment lengths are summed by joint label, exactly.  Inside a
+pattern half w <= cap <= b, so the cuts never cross within a phi piece,
+and in phi the per-label lengths are analytic except where either
+station's shifted phase crosses a multiple of pi/4.  The outer integral
+therefore splits [0, 2*pi) at angle_i + k*pi/4 and applies Gauss-Legendre
+on each piece.  The table matches the closed forms to a few 1e-16.
 
-The dense scan and the length sums run over near-equal blocks of whole phi
-rows, about _BLOCK probes each, so a block's temporaries stay in cache;
-only one int8 label per probe is kept for the whole grid.  The bisection is
-one batched pass over the gaps of every row.  Labels are elementwise and
-each length is a sum over one contiguous row, so the table is bit-identical
-for every block size.
+The cuts restate the geometry that measure_many implements, so a probe
+guard checks them against measure_many itself: an r grid on every phi node
+is labelled in one batch, and a probe off a cut whose label is not its
+segment's raises SingletLhvError.
 """
 
 from __future__ import annotations
@@ -34,18 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ProbQuad
-from .errors import InvalidConfig
-from .model import TWO_PI, DetectorSide, ModelParams, measure_many
+from .errors import InvalidConfig, SingletLhvError
+from .model import TWO_PI, DetectorSide, ModelParams, PatternKind, measure_many
+from .model import _pattern_height, _shifted_phase
 from .montecarlo import _check_int
-
-_ANCHOR_EPS = 1e-12
-
-#: Elements per block of whole phi rows in the dense label scan and the
-#: length sums, so that one block's temporaries stay in cache.  Timings are
-#: flat from 32Ki to 64Ki; at 64Ki and the default knobs every dense
-#: measure_many call holds at least 64Ki elements, the size that perfbench's
-#: traced run counts as "bulk" apart from the bisection's small calls.
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,10 +70,6 @@ class PatternIntegral:
         sums = self.table.sum(axis=axis)
         return (float(sums[2]), float(sums[0]), float(sums[1]))
 
-    def coincidence(self) -> float:
-        q = self.prob_quad()
-        return q.total()
-
     def total(self) -> float:
         return float(self.table.sum())
 
@@ -108,35 +94,90 @@ def _labels(
     return label
 
 
+def _segments(
+    phi: np.ndarray, angle_1: float, angle_2: float, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each phi node's r-segments, one row per node.
+
+    Cuts are sorted as offsets into their pattern half, so that no length
+    is a difference of r values that 1/2 + w has already rounded.
+    """
+    a, b, c = params.a, params.b, params.c
+    w1 = _pattern_height(params.kind, a, _shifted_phase(phi, angle_1))
+    if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
+        halves = ((0.0, 1.0, (w1, b)),)
+    else:
+        w2 = _pattern_height(params.kind, a, _shifted_phase(phi, angle_2))
+        # The error-band caps in the float operations measure_many uses.
+        cap1, cap2 = w1 * (1.0 - c) + b * c, w2 * (1.0 - c) + b * c
+        halves = ((0.0, 0.5, (w1, cap1, b)), (0.5, 0.5, (w2, cap2, b)))
+    starts, lengths = [], []
+    for base, size, cuts in halves:
+        edges = np.sort(np.stack(np.broadcast_arrays(0.0, size, *cuts), axis=1), axis=1)
+        starts.append(base + edges[:, :-1])
+        lengths.append(np.diff(edges, axis=1))
+    return np.hstack(starts), np.hstack(lengths)
+
+
+def _check_segments(
+    phi: np.ndarray, cuts: np.ndarray, segment_label: np.ndarray, r_probes: int,
+    angle_1: float, angle_2: float, params: ModelParams,
+) -> None:
+    """Raise unless measure_many labels every probe off a cut as its segment."""
+    n_phi = phi.size
+    probes = (np.arange(r_probes) + 0.5) / r_probes
+    got = _labels(
+        np.repeat(phi, r_probes), np.tile(probes, n_phi), angle_1, angle_2, params
+    ).reshape(n_phi, r_probes)
+    # searchsorted gives each inner cut the number k of probes below it
+    # ("left") or at or below it ("right"), so the cut lies at or below
+    # (strictly below) every probe from the k-th on.  Counted per probe,
+    # that is its segment, and the two counts differ only on a cut.
+    start = (r_probes + 1) * np.arange(n_phi)[:, None]
+    segment, segment_below = (
+        np.bincount(
+            (start + np.searchsorted(probes, cuts, side=side)).ravel(),
+            minlength=n_phi * (r_probes + 1),
+        ).reshape(n_phi, r_probes + 1)[:, :-1].cumsum(axis=1)
+        for side in ("left", "right")
+    )
+    want = np.take_along_axis(segment_label, segment, axis=1)
+    bad = (got != want) & (segment == segment_below)
+    if bad.any():
+        i, j = (int(k[0]) for k in np.nonzero(bad))
+        o_got, o_want = (tuple(o - 1 for o in divmod(int(x[i, j]), 3)) for x in (got, want))
+        raise SingletLhvError(
+            f"measure_many disagrees with the pattern cuts at phi = {float(phi[i])!r}, "
+            f"r = {float(probes[j])!r}: it gives outcomes {o_got}, the segment {o_want}"
+        )
+
+
 def outcome_probabilities(
     params: ModelParams,
     angle_1: float,
     angle_2: float,
     *,
-    r_probes: int = 4096,
+    r_probes: int = 256,
     gl_order: int = 24,
-    bisect_iters: int = 60,
 ) -> PatternIntegral:
     """Integrate the joint outcome table for one setting pair.
 
-    The knobs trade accuracy for time; the defaults already sit near the
-    floating-point floor.  r_probes controls how fine the initial r scan
-    is (regions thinner than 1/r_probes next to another boundary can be
-    missed, which the default makes irrelevant for solved parameters).
+    gl_order is the Gauss-Legendre order on each phi piece; the default
+    sits at the floating-point floor.  The r integral is exact: each phi
+    node's r-segments come from the pattern cuts and are labelled at their
+    midpoints.  r_probes sets the probe guard, r_probes evenly spaced r
+    values per phi node that measure_many must label as their segments; a
+    mismatch raises SingletLhvError.
     """
     r_probes = _check_int("r_probes", r_probes, lo=16)
     gl_order = _check_int("gl_order", gl_order, lo=2)
-    bisect_iters = _check_int("bisect_iters", bisect_iters, lo=1)
     if not (math.isfinite(angle_1) and math.isfinite(angle_2)):
         raise InvalidConfig(f"angles must be finite, got {(angle_1, angle_2)!r}")
 
     edges = _breakpoints(angle_1, angle_2)
     x, wts = np.polynomial.legendre.leggauss(gl_order)
-    nodes = []
-    weights = []
+    nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 1e-15:
-            continue
         half = 0.5 * (hi - lo)
         nodes.append(half * x + 0.5 * (hi + lo))
         weights.append(half * wts)
@@ -144,62 +185,16 @@ def outcome_probabilities(
     phi_weights = np.concatenate(weights)
     n_phi = phi_nodes.size
 
-    probes = (np.arange(r_probes) + 0.5) / r_probes
-    anchors = np.array(
-        [_ANCHOR_EPS, 0.5 - _ANCHOR_EPS, 0.5 + _ANCHOR_EPS, 1.0 - _ANCHOR_EPS]
-    )
-    probes = np.unique(np.concatenate([probes, anchors]))
-    n_probe = probes.size
-    # Near-equal blocks of whole rows, about _BLOCK elements each, so that
-    # no short tail block is left over.
-    n_blocks = min(n_phi, max(1, n_phi * n_probe // _BLOCK))
-    cuts = [k * n_phi // n_blocks for k in range(n_blocks + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    rows = -(-n_phi // n_blocks)
+    start, seg = _segments(phi_nodes, angle_1, angle_2, params)
+    n_seg = seg.shape[1]
+    label = _labels(
+        np.repeat(phi_nodes, n_seg), (start + 0.5 * seg).ravel(), angle_1, angle_2, params
+    ).reshape(n_phi, n_seg)
+    _check_segments(phi_nodes, start[:, 1:], label, r_probes, angle_1, angle_2, params)
 
-    labels = np.empty((n_phi, n_probe), dtype=np.int8)
-    for blk in blocks:
-        nb = blk.stop - blk.start
-        labels[blk] = _labels(
-            np.repeat(phi_nodes[blk], n_probe), np.tile(probes, nb),
-            angle_1, angle_2, params,
-        ).reshape(nb, n_probe)
-
-    # Refine every probe interval whose endpoints carry different labels.
-    ii, jj = np.nonzero(labels[:, :-1] != labels[:, 1:])
-    lo = probes[jj].copy()
-    hi = probes[jj + 1].copy()
-    lab_lo = labels[ii, jj]
-    phi_gap = phi_nodes[ii]
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        lab_mid = _labels(phi_gap, mid, angle_1, angle_2, params)
-        take = lab_mid == lab_lo
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    cut = 0.5 * (lo + hi)
-
-    # Each probe owns the r-length between the edges around it: the probe
-    # midpoints, or the refined cut where a gap was bisected.  Gaps come in
-    # row-major order, so each block's gaps are one slice of them.
-    midpoints = 0.5 * (probes[:-1] + probes[1:])
-    grid = np.empty((rows, n_probe + 1))
-    grid[:, 0] = 0.0
-    grid[:, -1] = 1.0
-    seg = np.empty((rows, n_probe))
-    length_by_label = np.zeros((n_phi, 9))
-    for blk in blocks:
-        nb = blk.stop - blk.start
-        g, s = grid[:nb], seg[:nb]
-        g[:, 1:-1] = midpoints
-        first, last = np.searchsorted(ii, (blk.start, blk.stop))
-        g[ii[first:last] - blk.start, jj[first:last] + 1] = cut[first:last]
-        np.subtract(g[:, 1:], g[:, :-1], out=s)
-        lab_blk = labels[blk]
-        for lab in range(9):
-            length_by_label[blk, lab] = np.where(lab_blk == lab, s, 0.0).sum(axis=1)
-
-    integral = phi_weights @ length_by_label / TWO_PI
-    return PatternIntegral(
-        table=integral.reshape(3, 3), angle_1=angle_1, angle_2=angle_2
-    )
+    # Label-major, so that each label's row over the phi nodes is contiguous
+    # and numpy sums it pairwise; a dot product strays by several ulps.
+    index = n_phi * label.astype(np.intp) + np.arange(n_phi)[:, None]
+    length = np.bincount(index.ravel(), weights=seg.ravel(), minlength=9 * n_phi)
+    integral = (length.reshape(9, n_phi) * phi_weights).sum(axis=1) / TWO_PI
+    return PatternIntegral(table=integral.reshape(3, 3), angle_1=angle_1, angle_2=angle_2)

@@ -1,13 +1,15 @@
 """Golden quadrature tables: outcome_probabilities must reproduce them bit for bit.
 
-outcome_probabilities is a pure function of (params, angles, knobs): every
-label is decided elementwise and every per-label length is a sum over one
-row of r probes in a fixed order.  tests/golden_quadrature.json freezes the
-3x3 tables of a small set of cases covering every pattern kind at the
-default knobs, a setting pair on the pi/4 breakpoints, equal settings, a
-wraparound pair, zero efficiency, and a coarse and an odd knob set.  Each
-cell is stored with float.hex, so any change to the scan, the bisection or
-the summation order that moves a single bit fails here.
+outcome_probabilities is a pure function of (params, angles, knobs): each
+phi node's r-segments come from the sorted pattern cuts, each segment is
+labelled elementwise at its midpoint, and the segment lengths are summed by
+label and then over the phi nodes in a fixed order.
+tests/golden_quadrature.json freezes the 3x3 tables of a small set of cases
+covering every pattern kind at the default knobs, a setting pair on the
+pi/4 breakpoints, equal settings, a wraparound pair, zero efficiency, and a
+coarse and an odd knob set.  Each cell is stored with float.hex, so any
+change to the cuts, the segment sums or the summation order that moves a
+single bit fails here.
 
 The file is regenerated only when a change is meant to alter the tables:
 
@@ -42,8 +44,7 @@ CASES = (
     ("unsym-wraparound", "unsym", 0.5, 1.0, 5.0 - 2.0 * math.pi, 0.2 + 4.0 * math.pi, {}),
     ("sin-eta-zero", "sin", 0.0, 0.3, 0.0, 1.0, {}),
     ("sin-coarse", "sin", 0.7, 0.8, 0.3, 1.3, {"r_probes": 64, "gl_order": 4}),
-    ("line-odd-knobs", "line", 0.8, 0.5, 1.0, 2.7,
-     {"r_probes": 1000, "gl_order": 7, "bisect_iters": 45}),
+    ("line-odd-knobs", "line", 0.8, 0.5, 1.0, 2.7, {"r_probes": 1000, "gl_order": 7}),
 )
 
 

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlet_lhv import (
     DetectorSide,
     DomainError,
     InvalidConfig,
     PatternKind,
+    SingletLhvError,
     joint_table,
     nonideal_probs,
     solve_params,
@@ -40,7 +43,7 @@ class TestAgainstClosedForms:
         p = solve_params(0.7, 0.8, SIN)
         pi = outcome_probabilities(p, 0.3, 0.3 + math.pi / 3.0)
         assert pi.total() == pytest.approx(1.0, abs=1e-12)
-        assert pi.coincidence() == pytest.approx(0.49, abs=1e-9)
+        assert pi.prob_quad().total() == pytest.approx(0.49, abs=1e-9)
         for side in (DetectorSide.ONE, DetectorSide.TWO):
             plus, minus, none = pi.marginal(side)
             assert plus == pytest.approx(0.35, abs=1e-9)
@@ -168,13 +171,12 @@ class TestInterface:
         for knob, bad in (
             ("r_probes", 8), ("r_probes", 100.5), ("r_probes", 64.0), ("r_probes", True),
             ("gl_order", 1), ("gl_order", 4.5), ("gl_order", "8"),
-            ("bisect_iters", 0), ("bisect_iters", 2.5), ("bisect_iters", -3),
         ):
             with pytest.raises(InvalidConfig):
                 outcome_probabilities(self.p, 0.0, 0.5, **{knob: bad})
 
     def test_integer_knobs_accept_numpy_integers(self):
-        knobs = {"r_probes": 64, "gl_order": 4, "bisect_iters": 20}
+        knobs = {"r_probes": 64, "gl_order": 4}
         want = outcome_probabilities(self.p, 0.0, 0.5, **knobs).table
         got = outcome_probabilities(
             self.p, 0.0, 0.5, **{k: np.int64(n) for k, n in knobs.items()}
@@ -189,22 +191,86 @@ class TestInterface:
         )
 
 
-class TestRowBlocks:
-    """The table does not depend on how many phi rows one block holds."""
+@st.composite
+def _points(draw):
+    """A feasible (kind, eta, v): inside, on the frontier, at eta = 0 or at v = 0."""
+    kind = draw(st.sampled_from((SIN, LINE, UNSYM)))
+    k = kind.amplitude_constant
+    where = draw(st.sampled_from(("inside", "frontier", "eta-zero", "v-zero")))
+    if kind is UNSYM:
+        # v = 1 always; the frontier is then the single point eta = 4/(K + 2).
+        eta = {"frontier": 4.0 / (k + 2.0), "eta-zero": 0.0}.get(
+            where, draw(st.floats(0.0, 4.0 / (k + 2.0)))
+        )
+        return kind, eta, 1.0
+    if where == "eta-zero":
+        return kind, 0.0, draw(st.floats(0.0, 1.0))
+    if where == "v-zero":
+        return kind, draw(st.floats(0.0, 1.0)), 0.0
+    if where == "frontier":
+        eta = draw(st.floats(4.0 / (k + 2.0), 1.0))
+        return kind, eta, min(1.0, (4.0 / eta - 2.0) / k)
+    eta = draw(st.floats(0.0, 1.0))
+    v = draw(st.floats(0.0, 1.0))
+    return kind, eta, min(v, (4.0 / eta - 2.0) / k) if eta > 0.0 else v
 
-    # With r_probes=64 a row holds 68 probes (64 plus four anchors), so these
-    # give one row per block, two, an uneven mix of three and four, and one
-    # block for the whole grid.
-    @pytest.mark.parametrize("block", [1, 2 * 68, 3 * 68 + 5, 1 << 30])
-    def test_block_size_never_moves_a_bit(self, monkeypatch, block):
-        cases = [
-            (solve_params(0.7, 0.8, SIN), 0.3, 1.3),
-            (solve_params(0.9, 0.6, LINE), 0.0, math.pi / 4.0),
-            (solve_params(0.7, 1.0, UNSYM), 5.0 - 2.0 * math.pi, 0.2 + 4.0 * math.pi),
-        ]
-        want = [outcome_probabilities(p, a1, a2, r_probes=64, gl_order=6).table
-                for p, a1, a2 in cases]
-        monkeypatch.setattr(quadrature, "_BLOCK", block)
-        for (p, a1, a2), table in zip(cases, want):
-            got = outcome_probabilities(p, a1, a2, r_probes=64, gl_order=6).table
-            assert got.tobytes() == table.tobytes()
+
+_ANGLES = st.one_of(
+    st.floats(-4.0 * math.pi, 4.0 * math.pi),
+    st.integers(-16, 16).map(lambda n: n * math.pi / 4.0),
+)
+
+
+@st.composite
+def _settings(draw):
+    """Setting pairs: equal, on pi/4 multiples, generic, and beyond +-2*pi."""
+    a1 = draw(_ANGLES)
+    return a1, draw(st.one_of(st.just(a1), _ANGLES))
+
+
+class TestCutsAgainstClosedForm:
+    """The cut-and-segment integral is the closed-form table to 1e-15 per cell."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(point=_points(), angles=_settings())
+    def test_every_cell(self, point, angles):
+        params = solve_params(*point[1:], point[0])
+        a1, a2 = angles
+        got = outcome_probabilities(params, a1, a2).table
+        np.testing.assert_allclose(got, joint_table(params, a2 - a1), rtol=0.0, atol=1e-15)
+
+
+def _band_edge_mutant(measure_many):
+    """measure_many with one station's detection band cut short at 0.93*b."""
+
+    def mutated(phi, r, angle, side, params):
+        out = measure_many(phi, r, angle, side, params)
+        if params.kind is UNSYM:
+            band_side, offset = DetectorSide.TWO, np.asarray(r)
+        else:
+            band_side, offset = DetectorSide.ONE, np.asarray(r) - 0.5
+        if side is band_side:
+            cut = (offset >= 0.93 * params.b) & (offset < params.b)
+            out = np.where(cut, np.int8(0), out)
+        return out
+
+    return mutated
+
+
+class TestProbeGuard:
+    @pytest.mark.parametrize("kind,eta,v", [(SIN, 0.7, 0.8), (LINE, 0.6, 0.7), (UNSYM, 0.7, 1.0)])
+    def test_band_edge_mutant_is_caught(self, monkeypatch, kind, eta, v):
+        params = solve_params(eta, v, kind)
+        monkeypatch.setattr(quadrature, "measure_many", _band_edge_mutant(quadrature.measure_many))
+        with pytest.raises(SingletLhvError, match="disagrees with the pattern cuts"):
+            outcome_probabilities(params, 0.3, 1.3)
+
+    def test_probe_on_a_cut_is_skipped(self):
+        # At v = 1 the staircase cap equals its core height, and on the
+        # inner steps that is a, here exactly 5/32: the third of 16 probes.
+        # measure_many counts r == w into the core, which the segment above
+        # the cut is not, so only the skip keeps this probe from failing.
+        params = solve_params(math.sqrt(4.0 * (2.5 / 16) / LINE.amplitude_constant), 1.0, LINE)
+        assert params.a == 2.5 / 16
+        got = outcome_probabilities(params, 0.0, 1.0, r_probes=16).table
+        np.testing.assert_allclose(got, joint_table(params, 1.0), rtol=0.0, atol=1e-15)
