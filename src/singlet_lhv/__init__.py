@@ -18,8 +18,6 @@ from .analytic import (
     FULL_VISIBILITY_MAX_EFFICIENCY,
     STANDARD_CHSH_ANGLES,
     ChshAngles,
-    ProbQuad,
-    RegionVerdict,
     bell_generalized_slack,
     chsh_bound,
     chsh_value,
@@ -42,12 +40,6 @@ from .errors import (
     SingletLhvError,
 )
 from .experiments import (
-    CheckResult,
-    ChshReport,
-    ChshSetting,
-    SweepGate,
-    SweepRow,
-    VerifyReport,
     chsh_experiment,
     region_scan,
     sweep_gate,
@@ -68,19 +60,14 @@ from .model import (
     unsymmetrized_marginals,
 )
 from .montecarlo import (
-    Estimates,
-    IndependenceReport,
     RunConfig,
     Tally,
     derive_seed,
     estimate,
-    independence_check,
     run,
-    sample_lambda,
     substream,
     tally_outcomes,
 )
-from .quadrature import PatternIntegral, outcome_probabilities
 
 __all__ = [
     "__version__",
@@ -90,30 +77,19 @@ __all__ = [
     "FULL_VISIBILITY_MAX_EFFICIENCY",
     "STANDARD_CHSH_ANGLES",
     "ChshAngles",
-    "CheckResult",
-    "ChshReport",
-    "ChshSetting",
     "DegeneratePoint",
     "DetectorSide",
     "DomainError",
     "EmptyTally",
-    "Estimates",
     "HiddenVariable",
-    "IndependenceReport",
     "InfeasibleParameters",
     "InvalidConfig",
     "ModelParams",
     "Outcome",
-    "PatternIntegral",
     "PatternKind",
-    "ProbQuad",
-    "RegionVerdict",
     "RunConfig",
     "SingletLhvError",
-    "SweepGate",
-    "SweepRow",
     "Tally",
-    "VerifyReport",
     "bell_generalized_slack",
     "boundary",
     "chsh_bound",
@@ -123,7 +99,6 @@ __all__ = [
     "correlation",
     "derive_seed",
     "estimate",
-    "independence_check",
     "is_feasible",
     "joint_table",
     "line_g",
@@ -132,12 +107,10 @@ __all__ = [
     "measure",
     "measure_many",
     "nonideal_probs",
-    "outcome_probabilities",
     "qm_probs",
     "reduce_theta",
     "region_scan",
     "run",
-    "sample_lambda",
     "solve_params",
     "substream",
     "sweep_gate",

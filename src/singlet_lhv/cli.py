@@ -3,9 +3,11 @@
 Five subcommands: params, sweep, chsh, region, verify.  Output files are
 deterministic byte-for-byte for identical invocations.  Floats are printed
 as their shortest round-trip decimal, booleans as true/false, CSV with LF
-line endings.  Exit codes: 0 success, 1 gate or check failure, 2 usage or
-infeasible input, 3 inconclusive (a sweep row had no coincidences, so the
-gate could not test it; no tested row failed).
+line endings; CSV and JSON rows are the fields of the result dataclasses,
+in field order.  Exit codes: 0 success, 1 gate or check failure, 2 usage,
+infeasible input or an output file that cannot be written (one error: line
+on stderr), 3 inconclusive (a sweep row had no coincidences, so the gate
+could not test it; no tested row failed).
 """
 
 from __future__ import annotations
@@ -30,22 +32,8 @@ _MODEL_NAMES = {
     "unsym": PatternKind.UNSYMMETRIZED_SINUSOIDAL,
 }
 
-SWEEP_COLUMNS = (
-    "theta",
-    "p_pp_mc", "p_pm_mc", "p_mp_mc", "p_mm_mc",
-    "p_pp", "p_pm", "p_mp", "p_mm",
-    "corr_mc", "corr", "n_pairs", "seed",
-)
-
-REGION_COLUMNS = ("eta", "v", "sin_feasible", "line_feasible", "chsh_violated", "gap")
-
 #: Exit status of a sweep whose gate could not test every row.
 EXIT_INCONCLUSIVE = 3
-
-CHSH_COLUMNS = (
-    "label", "angle_1", "angle_2", "corr_mc", "se", "seed",
-    "s_mc", "se_s", "s_oracle", "bound", "violated_mc",
-)
 
 
 def _fmt(value) -> str:
@@ -56,10 +44,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
+def _csv_text(rows) -> str:
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines.append(",".join(_fmt(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -136,9 +124,9 @@ def cmd_sweep(args) -> int:
         params, n_steps=args.steps, pairs_per_step=args.pairs, seed=args.seed
     )
     gate = sweep_gate(rows, params)
-    dicts = [{c: getattr(row, c) for c in SWEEP_COLUMNS} for row in rows]
+    dicts = [vars(row) for row in rows]
     if args.format == "csv":
-        text = _csv_text(SWEEP_COLUMNS, dicts)
+        text = _csv_text(dicts)
     else:
         text = _json_text("sweep", args.seed, params, dicts)
     _write(args.out, text)
@@ -181,51 +169,22 @@ def cmd_chsh(args) -> int:
     report = chsh_experiment(
         params, angles=angles, pairs_per_setting=args.pairs, seed=args.seed
     )
-    rows = [
-        {
-            "label": s.label,
-            "angle_1": s.angle_1,
-            "angle_2": s.angle_2,
-            "corr_mc": s.corr_mc,
-            "se": s.se,
-            "seed": s.seed,
-            "s_mc": report.s_mc,
-            "se_s": report.se_s,
-            "s_oracle": report.s_oracle,
-            "bound": report.bound,
-            "violated_mc": report.violated_mc,
-        }
-        for s in report.settings
-    ]
+    totals = {
+        k: v for k, v in vars(report).items() if k not in ("angles", "settings")
+    }
+    rows = [{**vars(s), **totals} for s in report.settings]
     if args.format == "csv":
-        sys.stdout.write(_csv_text(CHSH_COLUMNS, rows))
+        sys.stdout.write(_csv_text(rows))
     else:
-        extra = {
-            "s_mc": report.s_mc,
-            "se_s": report.se_s,
-            "s_oracle": report.s_oracle,
-            "bound": report.bound,
-            "violated_mc": report.violated_mc,
-        }
-        sys.stdout.write(_json_text("chsh", args.seed, params, rows, extra=extra))
+        sys.stdout.write(_json_text("chsh", args.seed, params, rows, extra=totals))
     return 1 if report.violated_mc else 0
 
 
 def cmd_region(args) -> int:
     verdicts = region_scan(eta_steps=args.eta_steps, v_steps=args.vis_steps)
-    rows = [
-        {
-            "eta": v.eta,
-            "v": v.v,
-            "sin_feasible": v.sin_feasible,
-            "line_feasible": v.line_feasible,
-            "chsh_violated": v.chsh_violated,
-            "gap": v.gap,
-        }
-        for v in verdicts
-    ]
+    rows = [vars(v) for v in verdicts]
     if args.format == "csv":
-        text = _csv_text(REGION_COLUMNS, rows)
+        text = _csv_text(rows)
     else:
         text = _json_text("region", None, None, rows)
     _write(args.out, text)
@@ -316,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SingletLhvError as exc:
+    except (SingletLhvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -622,6 +622,7 @@ def verify_suite(
     with the given per-run budget.  Deterministic for a fixed seed.
     """
     pairs_budget = _check_int("pairs_budget", pairs_budget, lo=MIN_VERIFY_PAIRS)
+    seed = _check_int("seed", seed)
 
     def sample(params, angle_1, angle_2, index, n_pairs=pairs_budget) -> Tally:
         cfg = RunConfig(

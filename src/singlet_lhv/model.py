@@ -87,10 +87,6 @@ class PatternKind(enum.Enum):
             return 2.0 * SQRT2
         return math.pi
 
-    @property
-    def is_sinusoidal(self) -> bool:
-        return self is not PatternKind.SYMMETRIZED_STAIRCASE
-
 
 class DetectorSide(enum.Enum):
     """The two measurement stations."""
@@ -103,10 +99,6 @@ class Outcome(enum.Enum):
     PLUS = 1
     MINUS = -1
     NO_DETECTION = 0
-
-    @property
-    def numeric(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True)

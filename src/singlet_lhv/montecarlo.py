@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytic import ProbQuad
 from .errors import EmptyTally, InvalidConfig
-from .model import TWO_PI, DetectorSide, HiddenVariable, ModelParams, measure_many
+from .model import TWO_PI, DetectorSide, ModelParams, measure_many
 
 _MASK64 = (1 << 64) - 1
 
@@ -77,13 +77,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """
     key = (_check_int("seed", seed) << 64) | _check_int("index", index)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_lambda(stream: np.random.Generator) -> HiddenVariable:
-    """Draw one hidden variable, consuming exactly two uniforms."""
-    u1 = stream.random()
-    u2 = stream.random()
-    return HiddenVariable(phi=TWO_PI * u1, r=u2)
 
 
 @dataclass(frozen=True)
@@ -283,37 +276,4 @@ def estimate(tally: Tally) -> Estimates:
         eta_2=eta_2,
         coincidence_rate=coincidence,
         std_errors=se,
-    )
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Observed vs expected coincidence rate under independent detection."""
-
-    observed: float
-    expected: float
-    deviation: float
-    threshold: float
-    passed: bool
-
-
-def independence_check(tally: Tally, params: ModelParams) -> IndependenceReport:
-    """Five-sigma test that coincidences occur at rate eta**2.
-
-    Detection events at the two stations are independent in this model, so
-    the coincidence count is binomial with success probability eta**2.
-    """
-    p = params.eta * params.eta
-    n = tally.n_total
-    if n < 1:
-        raise InvalidConfig("tally is empty")
-    observed = tally.n_coincidences / n
-    deviation = abs(observed - p)
-    threshold = FIVE_SIGMA * binomial_se(p, n)
-    return IndependenceReport(
-        observed=observed,
-        expected=p,
-        deviation=deviation,
-        threshold=threshold,
-        passed=deviation <= threshold,
     )

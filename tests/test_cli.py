@@ -101,6 +101,8 @@ class TestSweep:
         assert doc["meta"]["params"]["a"] == 0.30787608005179967
         assert len(doc["rows"]) == 3
         assert doc["rows"][0]["theta"] == 0.0
+        for row in doc["rows"]:
+            assert list(row) == SWEEP_HEADER.split(",")
 
     def test_json_meta_records_provenance(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -143,6 +145,16 @@ class TestSweep:
         )
         assert res.stderr == ""
 
+    def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path):
+        res = run_cli(
+            "sweep", "--eta", "0.7", "--v", "0.8", "--steps", "2",
+            "--pairs", "1000", "--out", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
+
     def test_out_is_required(self):
         res = run_cli("sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin")
         assert res.returncode == 2
@@ -171,6 +183,8 @@ class TestChsh:
         assert doc["bound"] == 2.4444444444444446
         assert doc["violated_mc"] is False
         assert len(doc["rows"]) == 4
+        for row in doc["rows"]:
+            assert list(row) == CHSH_HEADER.split(",")
         meta = doc["meta"]
         assert meta["command"] == "chsh"
         assert (meta["seed"], meta["numpy"], meta["chunk_size"]) == (
@@ -240,10 +254,21 @@ class TestRegion:
         doc = json.loads(out.read_text())
         assert doc["meta"]["command"] == "region"
         assert len(doc["rows"]) == 4
+        for row in doc["rows"]:
+            assert list(row) == REGION_HEADER.split(",")
         assert doc["rows"][3] == {
             "eta": 1.0, "v": 1.0, "sin_feasible": False,
             "line_feasible": False, "chsh_violated": True, "gap": False,
         }
+
+    def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path):
+        res = run_cli(
+            "region", "--eta-steps", "2", "--vis-steps", "2",
+            "--out", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
 
     def test_rejects_single_step(self, tmp_path):
         res = run_cli(
@@ -266,6 +291,11 @@ class TestVerify:
         res = run_cli("verify", "--pairs", "10")
         assert res.returncode == 2
         assert "at least 100000" in res.stderr
+        res = run_cli("verify", "--pairs", "100000", "--seed", "-1")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.stderr
 
 
 def test_no_arguments_prints_usage():

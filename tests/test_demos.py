@@ -1,11 +1,16 @@
-"""Smoke test: every script in demos/ runs to completion against src/."""
+"""What scripts rely on: every script in demos/ runs to completion against
+src/, and the package root exports exactly the names scripts import from it.
+"""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import singlet_lhv
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,3 +24,60 @@ def test_demo_runs_cleanly(demo):
     )
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
+
+
+# The names the demos, the tests and the cli import from the package root.
+ROOT_EXPORTS = sorted([
+    "BELL_CRITICAL_EFFICIENCY", "CHSH_CRITICAL_EFFICIENCY", "ChshAngles",
+    "DegeneratePoint", "DetectorSide", "DomainError", "EmptyTally",
+    "FULL_EFFICIENCY_MAX_VISIBILITY", "FULL_VISIBILITY_MAX_EFFICIENCY",
+    "HiddenVariable", "InfeasibleParameters", "InvalidConfig", "ModelParams",
+    "Outcome", "PatternKind", "RunConfig", "STANDARD_CHSH_ANGLES",
+    "SingletLhvError", "Tally", "__version__", "bell_generalized_slack",
+    "boundary", "chsh_bound", "chsh_experiment", "chsh_value",
+    "classify_region", "correlation", "derive_seed", "estimate",
+    "is_feasible", "joint_table", "line_g", "marginal_prob", "max_visibility",
+    "measure", "measure_many", "nonideal_probs", "qm_probs", "reduce_theta",
+    "region_scan", "run", "solve_params", "substream", "sweep_gate",
+    "tally_outcomes", "theta_sweep", "unsymmetrized_marginals", "verify_suite",
+])
+
+# Names that stay public in their modules: what perfbench reaches through
+# the modules, and the result types, which the root no longer exports.
+MODULE_NAMES = {
+    "analytic": ["nonideal_probs", "classify_region", "ProbQuad", "RegionVerdict"],
+    "cli": ["main"],
+    "experiments": [
+        "verify_suite", "theta_sweep", "sweep_gate", "MIN_VERIFY_PAIRS",
+        "CheckResult", "ChshReport", "ChshSetting", "SweepGate", "SweepRow",
+        "VerifyReport",
+    ],
+    "model": ["measure_many", "ModelParams", "PatternKind", "solve_params"],
+    "montecarlo": [
+        "run", "RunConfig", "Tally", "estimate", "tally_outcomes", "substream",
+        "derive_seed", "DEFAULT_CHUNK_SIZE", "Estimates",
+    ],
+    "quadrature": ["outcome_probabilities", "PatternIntegral"],
+}
+
+
+def test_public_surface():
+    assert len(ROOT_EXPORTS) == 48
+    assert sorted(singlet_lhv.__all__) == ROOT_EXPORTS
+    for name in ROOT_EXPORTS:
+        getattr(singlet_lhv, name)
+    for module, names in MODULE_NAMES.items():
+        mod = importlib.import_module(f"singlet_lhv.{module}")
+        for name in names:
+            assert hasattr(mod, name), f"singlet_lhv.{module}.{name}"
+    integral = singlet_lhv.quadrature.PatternIntegral
+    assert callable(integral.prob_quad) and callable(integral.total)
+    for module, name in [
+        ("montecarlo", "sample_lambda"),
+        ("montecarlo", "independence_check"),
+        ("montecarlo", "IndependenceReport"),
+    ]:
+        assert not hasattr(importlib.import_module(f"singlet_lhv.{module}"), name)
+        assert not hasattr(singlet_lhv, name)
+    assert not hasattr(singlet_lhv.Outcome, "numeric")
+    assert not hasattr(singlet_lhv.PatternKind, "is_sinusoidal")

@@ -203,6 +203,9 @@ class TestVerifySuite:
         for bad in (MIN_VERIFY_PAIRS - 1, float(MIN_VERIFY_PAIRS), True):
             with pytest.raises(InvalidConfig):
                 verify_suite(pairs_budget=bad)
+        for bad in (-1, 2**64, 1.5, True):
+            with pytest.raises(InvalidConfig):
+                verify_suite(pairs_budget=MIN_VERIFY_PAIRS, seed=bad)
 
     def test_full_suite_passes_at_minimum_budget(self):
         report = verify_suite(pairs_budget=MIN_VERIFY_PAIRS, seed=42)

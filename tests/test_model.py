@@ -310,7 +310,7 @@ class TestMeasure:
                 vec = measure_many(phi, r, 0.9, side, p)
                 for i in range(0, 256, 17):
                     lam = HiddenVariable(phi=float(phi[i]), r=float(r[i]))
-                    assert measure(lam, 0.9, side, p).numeric == int(vec[i])
+                    assert measure(lam, 0.9, side, p).value == int(vec[i])
 
     def test_anticorrelation_property(self):
         rng = np.random.Generator(np.random.Philox(key=11))
@@ -325,9 +325,9 @@ class TestMeasure:
                 assert np.all(o1[both] == -o2[both])
 
     def test_outcome_values(self):
-        assert Outcome.PLUS.numeric == 1
-        assert Outcome.MINUS.numeric == -1
-        assert Outcome.NO_DETECTION.numeric == 0
+        assert Outcome.PLUS.value == 1
+        assert Outcome.MINUS.value == -1
+        assert Outcome.NO_DETECTION.value == 0
 
 
 # measure_many against the plain-Python reference measure().  Points cover
@@ -362,7 +362,7 @@ def _edge_r(label, phi, angle, p):
 
 def _assert_matches_reference(phis, rs, angle, side, p):
     got = measure_many(np.array(phis), np.array(rs), angle, side, p)
-    want = [measure(HiddenVariable(phi, r), angle, side, p).numeric
+    want = [measure(HiddenVariable(phi, r), angle, side, p).value
             for phi, r in zip(phis, rs)]
     assert got.dtype == np.int8
     assert got.tolist() == want
@@ -442,7 +442,7 @@ class TestMeasureManyMatchesReference:
         empty = measure_many(np.array([]), np.array([]), 0.4, side, p)
         assert empty.shape == (0,) and empty.dtype == np.int8
         for phi, r in ((1.0, 0.1), (4.0, 0.1), (1.0, 0.6), (4.0, 0.6), (0.0, 0.0)):
-            want = measure(HiddenVariable(phi, r), 0.4, side, p).numeric
+            want = measure(HiddenVariable(phi, r), 0.4, side, p).value
             one = measure_many(np.array([phi]), np.array([r]), 0.4, side, p)
             assert one.shape == (1,) and one.tolist() == [want]
             scalar = measure_many(phi, r, 0.4, side, p)

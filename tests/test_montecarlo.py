@@ -12,10 +12,8 @@ from singlet_lhv import (
     Tally,
     derive_seed,
     estimate,
-    independence_check,
     nonideal_probs,
     run,
-    sample_lambda,
     solve_params,
     substream,
     tally_outcomes,
@@ -72,16 +70,6 @@ class TestSeeding:
         np.testing.assert_array_equal(
             substream(11, 2).random(8), substream(11, 2).random(8)
         )
-
-    def test_sample_lambda_golden(self):
-        lam = sample_lambda(substream(7, 3))
-        assert lam.phi == 1.0110516211846365
-        assert lam.r == 0.8229551752810966
-
-    def test_sample_lambda_consumes_two(self):
-        s = substream(7, 3)
-        sample_lambda(s)
-        assert s.random() == 0.732567180148764
 
 
 class TestRunConfig:
@@ -339,26 +327,3 @@ class TestZscore:
         assert zscore(0.3, 0.2, 0.05) == pytest.approx(2.0, rel=1e-15)
         assert zscore(0.1, 0.2, 0.05) == pytest.approx(2.0, rel=1e-15)
         assert binomial_se(0.5, 100) == 0.05
-
-
-class TestIndependence:
-    def test_simulated_run_passes(self):
-        p = solve_params(0.7, 0.8, SIN)
-        cfg = RunConfig(params=p, angle_1=0.0, angle_2=math.pi / 3.0,
-                        n_pairs=200000, seed=123)
-        rep = independence_check(run(cfg), p)
-        assert rep.passed
-        assert rep.expected == pytest.approx(0.49, rel=1e-15)
-        assert rep.deviation <= rep.threshold
-
-    def test_flags_correlated_detection(self):
-        t = Tally(n_pp=500, n_pm=0, n_mp=0, n_mm=500, n_single_1=0,
-                  n_single_2=0, n_none=0, n_total=1000)
-        p = solve_params(0.7, 0.8, SIN)
-        rep = independence_check(t, p)
-        assert not rep.passed
-
-    def test_empty(self):
-        p = solve_params(0.7, 0.8, SIN)
-        with pytest.raises(InvalidConfig):
-            independence_check(Tally.zero(), p)
