@@ -21,7 +21,7 @@ from singlet_lhv import (
 
 from singlet_lhv import montecarlo
 from singlet_lhv.model import TWO_PI, DetectorSide, measure_many
-from singlet_lhv.montecarlo import _TILE, _chunk_tally, binomial_se, zscore
+from singlet_lhv.montecarlo import FIVE_SIGMA, _TILE, _chunk_tally, binomial_se, zscore
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -327,3 +327,31 @@ class TestZscore:
         assert zscore(0.3, 0.2, 0.05) == pytest.approx(2.0, rel=1e-15)
         assert zscore(0.1, 0.2, 0.05) == pytest.approx(2.0, rel=1e-15)
         assert binomial_se(0.5, 100) == 0.05
+
+
+def _coincidence_z(tally, params):
+    """verify's mc-coincidence-5sigma statistic: coincidences against eta**2."""
+    p = params.eta * params.eta
+    return zscore(estimate(tally).coincidence_rate, p, binomial_se(p, tally.n_total))
+
+
+class TestIndependence:
+    # Detection at the two stations is independent, so the coincidence count
+    # of a run is binomial with success probability eta**2.
+    def test_simulated_run_passes(self):
+        p = solve_params(0.7, 0.8, SIN)
+        cfg = RunConfig(params=p, angle_1=0.0, angle_2=math.pi / 3.0,
+                        n_pairs=200000, seed=123)
+        assert p.eta * p.eta == pytest.approx(0.49, rel=1e-15)
+        assert _coincidence_z(run(cfg), p) <= FIVE_SIGMA
+
+    def test_flags_correlated_detection(self):
+        t = Tally(n_pp=500, n_pm=0, n_mp=0, n_mm=500, n_single_1=0,
+                  n_single_2=0, n_none=0, n_total=1000)
+        p = solve_params(0.7, 0.8, SIN)
+        assert _coincidence_z(t, p) > FIVE_SIGMA
+
+    def test_empty(self):
+        p = solve_params(0.7, 0.8, SIN)
+        with pytest.raises(EmptyTally):
+            _coincidence_z(Tally.zero(), p)
