@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -79,6 +80,21 @@ def _json_text(command: str, seed, params: ModelParams | None, rows, extra=None)
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _check_out(path: str) -> None:
+    """Fail before any sampling if path cannot be written.
+
+    Nothing is created or truncated, so a run that fails later leaves an
+    existing file as it was.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+    if not ok:
+        raise InvalidConfig(f"cannot write --out {path!r}")
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -119,6 +135,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_out(args.out)
     params = _solve_from_args(args)
     rows = theta_sweep(
         params, n_steps=args.steps, pairs_per_step=args.pairs, seed=args.seed
@@ -181,6 +198,7 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_region(args) -> int:
+    _check_out(args.out)
     verdicts = region_scan(eta_steps=args.eta_steps, v_steps=args.vis_steps)
     rows = [vars(v) for v in verdicts]
     if args.format == "csv":

@@ -222,7 +222,7 @@ def chsh_experiment(
         est = estimate(run(cfg, workers=workers))
         settings.append(ChshSetting(
             label=label, angle_1=a1, angle_2=a2,
-            corr_mc=est.corr, se=est.std_errors["corr"], seed=child,
+            corr_mc=est.corr, se=est.corr_se, seed=child,
         ))
     e = {s.label: s.corr_mc for s in settings}
     s_mc = abs(e["ac"] - e["ad"]) + abs(e["bc"] + e["bd"])
@@ -542,7 +542,7 @@ def _mc_structure_checks(sample) -> list[CheckResult]:
     est = estimate(sample(p, 0.6, 0.6, base + 4))
     out.append(_result(
         "visibility-recovery-at-equal-angles",
-        abs(-est.corr - p.v), FIVE_SIGMA * est.std_errors["corr"],
+        abs(-est.corr - p.v), FIVE_SIGMA * est.corr_se,
     ))
 
     p = solve_params(0.7, 0.8, PatternKind.SYMMETRIZED_STAIRCASE)

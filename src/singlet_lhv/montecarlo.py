@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ProbQuad
 from .errors import EmptyTally, InvalidConfig
 from .model import TWO_PI, DetectorSide, ModelParams, measure_many
 
@@ -233,47 +232,30 @@ def zscore(got: float, want: float, se: float) -> float:
 
 @dataclass(frozen=True)
 class Estimates:
-    """Point estimates from one tally, with binomial standard errors."""
+    """Point estimates from one tally, with the correlation's standard error."""
 
-    probs: ProbQuad
     corr: float
+    corr_se: float
     eta_1: float
     eta_2: float
     coincidence_rate: float
-    std_errors: dict[str, float]
 
 
 def estimate(tally: Tally) -> Estimates:
     """Turn counts into rates and the coincidence-conditioned correlation.
 
-    Cell probabilities are per emitted pair (they sum to the coincidence
-    rate, near eta**2); the correlation divides by coincidences, so its
-    standard error carries the 1/eta penalty.
+    Rates are per emitted pair; the correlation divides by coincidences, so
+    its standard error carries the 1/eta penalty.
     """
     nc = tally.n_coincidences
     if nc == 0:
         raise EmptyTally("no coincidences in tally")
     n = tally.n_total
-    cells = tuple(k / n for k in tally.cells)
     corr = (tally.n_pp - tally.n_pm - tally.n_mp + tally.n_mm) / nc
-    eta_1 = (nc + tally.n_single_1) / n
-    eta_2 = (nc + tally.n_single_2) / n
-    coincidence = nc / n
-    se = {
-        "p_pp": binomial_se(cells[0], n),
-        "p_pm": binomial_se(cells[1], n),
-        "p_mp": binomial_se(cells[2], n),
-        "p_mm": binomial_se(cells[3], n),
-        "corr": correlation_se(corr, nc),
-        "eta_1": binomial_se(eta_1, n),
-        "eta_2": binomial_se(eta_2, n),
-        "coincidence": binomial_se(coincidence, n),
-    }
     return Estimates(
-        probs=ProbQuad(*cells),
         corr=corr,
-        eta_1=eta_1,
-        eta_2=eta_2,
-        coincidence_rate=coincidence,
-        std_errors=se,
+        corr_se=correlation_se(corr, nc),
+        eta_1=(nc + tally.n_single_1) / n,
+        eta_2=(nc + tally.n_single_2) / n,
+        coincidence_rate=nc / n,
     )
