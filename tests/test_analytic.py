@@ -200,6 +200,12 @@ class TestChsh:
 
 
 class TestBellSlack:
+    def test_zero_at_critical_point(self):
+        s = bell_generalized_slack(
+            8.0 / 9.0, 1.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi / 3.0
+        )
+        assert s == pytest.approx(0.0, abs=1e-12)
+
     def test_negative_above_critical(self):
         s = bell_generalized_slack(
             0.95, 1.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi / 3.0

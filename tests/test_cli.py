@@ -76,6 +76,16 @@ class TestSweep:
         mid = lines[2].split(",")
         assert mid[0] == repr(math.pi / 2.0)
 
+    def test_byte_identical_reruns(self, tmp_path):
+        args = (
+            "sweep", "--eta", "0.7", "--v", "0.8", "--model", "line",
+            "--steps", "3", "--pairs", "10000", "--seed", "4",
+        )
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(*args, "--out", str(a)).returncode == 0
+        assert run_cli(*args, "--out", str(b)).returncode == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "sweep.json"
         res = run_cli(
@@ -137,6 +147,16 @@ class TestSweep:
             "(inconclusive, 2 of 2 rows had no coincidences, worst 0.0)\n"
         )
         assert res.stderr == ""
+
+    def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path):
+        res = run_cli(
+            "sweep", "--eta", "0.7", "--v", "0.8", "--steps", "2",
+            "--pairs", "1000", "--out", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
 
     def test_out_is_required(self):
         res = run_cli("sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin")
@@ -220,6 +240,12 @@ class TestRegion:
             "1.0,0.0,true,true,false,false\n"
             "1.0,1.0,false,false,true,false\n"
         )
+
+    def test_reruns_are_identical(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run_cli("region", "--eta-steps", "12", "--vis-steps", "9", "--out", str(a))
+        run_cli("region", "--eta-steps", "12", "--vis-steps", "9", "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "region.json"

@@ -10,6 +10,7 @@ from singlet_lhv import (
     chsh_experiment,
     correlation,
     derive_seed,
+    max_visibility,
     nonideal_probs,
     region_scan,
     solve_params,
@@ -53,6 +54,10 @@ class TestThetaSweep:
         assert gate.passed
         assert gate.max_sigma <= 5.0
         assert gate.max_abs_deviation < 0.02
+
+    def test_deterministic(self):
+        again = theta_sweep(self.p, n_steps=5, pairs_per_step=50000, seed=11)
+        assert again == self.rows
 
     def test_full_visibility_endpoints_are_exact(self):
         p = solve_params(0.75, 1.0, SIN)
@@ -125,6 +130,16 @@ class TestChshExperiment:
         assert (rep.settings[0].angle_1, rep.settings[0].angle_2) == (a.phi_a, a.phi_c)
         assert (rep.settings[3].angle_1, rep.settings[3].angle_2) == (a.phi_b, a.phi_d)
 
+    def test_frontier_point_is_not_called_violated(self):
+        # at the frontier S_oracle equals the bound, so a raw comparison of
+        # the sampled S would flip a coin; the five-sigma rule must not
+        v = max_visibility(0.9, LINE)
+        p = solve_params(0.9, v, LINE)
+        rep = chsh_experiment(p, pairs_per_setting=200000, seed=14)
+        assert rep.s_oracle == pytest.approx(rep.bound, rel=1e-12)
+        assert abs(rep.s_mc - rep.bound) <= 5.0 * rep.se_s
+        assert not rep.violated_mc
+
     def test_validation(self):
         p = solve_params(0.7, 1.0, SIN)
         for bad in (0, 2.5, 10.0, True):
@@ -154,6 +169,9 @@ class TestRegionScan:
         # eta-major ordering
         assert [r.eta for r in rows[:5]] == [0.25] * 5
         assert [r.v for r in rows[:5]] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_deterministic(self):
+        assert region_scan(25, 25) == region_scan(25, 25)
 
     def test_contains_gap_band(self):
         rows = region_scan(101, 101)

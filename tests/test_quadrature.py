@@ -23,6 +23,49 @@ LINE = PatternKind.SYMMETRIZED_STAIRCASE
 UNSYM = PatternKind.UNSYMMETRIZED_SINUSOIDAL
 
 
+class TestAgainstClosedForms:
+    def test_sinusoidal_cells(self):
+        p = solve_params(0.7, 0.8, SIN)
+        pi = outcome_probabilities(p, 0.3, 0.3 + math.pi / 3.0)
+        q = nonideal_probs(math.pi / 3.0, 0.7, 0.8, SIN)
+        got = pi.prob_quad()
+        np.testing.assert_allclose(got.as_tuple(), q.as_tuple(), rtol=0.0, atol=1e-9)
+
+    def test_staircase_cells(self):
+        p = solve_params(0.7, 0.8, LINE)
+        pi = outcome_probabilities(p, 0.1, 2.1)
+        q = nonideal_probs(2.0, 0.7, 0.8, LINE)
+        np.testing.assert_allclose(
+            pi.prob_quad().as_tuple(), q.as_tuple(), rtol=0.0, atol=1e-9
+        )
+
+    def test_marginals_and_mass(self):
+        p = solve_params(0.7, 0.8, SIN)
+        pi = outcome_probabilities(p, 0.3, 0.3 + math.pi / 3.0)
+        assert pi.total() == pytest.approx(1.0, abs=1e-12)
+        assert pi.prob_quad().total() == pytest.approx(0.49, abs=1e-9)
+        for side in (DetectorSide.ONE, DetectorSide.TWO):
+            plus, minus, none = pi.marginal(side)
+            assert plus == pytest.approx(0.35, abs=1e-9)
+            assert minus == pytest.approx(0.35, abs=1e-9)
+            assert none == pytest.approx(0.3, abs=1e-9)
+
+    def test_angle_wraparound(self):
+        p = solve_params(0.7, 0.8, SIN)
+        pi = outcome_probabilities(p, 5.0, 5.0 + math.pi / 3.0 - 2.0 * math.pi)
+        q = nonideal_probs(math.pi / 3.0, 0.7, 0.8, SIN)
+        np.testing.assert_allclose(
+            pi.prob_quad().as_tuple(), q.as_tuple(), rtol=0.0, atol=1e-9
+        )
+
+    def test_cell_symmetries(self):
+        p = solve_params(0.6, 0.7, LINE)
+        pi = outcome_probabilities(p, 0.0, 1.0)
+        q = pi.prob_quad()
+        assert q.p_pp == pytest.approx(q.p_mm, abs=1e-10)
+        assert q.p_pm == pytest.approx(q.p_mp, abs=1e-10)
+
+
 class TestUnsymmetrized:
     def setup_method(self):
         self.p = solve_params(0.7, 1.0, UNSYM)
