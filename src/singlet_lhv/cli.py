@@ -90,7 +90,7 @@ def _check_out(path: str) -> None:
     if os.path.exists(path):
         ok = not os.path.isdir(path) and os.access(path, os.W_OK)
     else:
-        ok = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+        ok = bool(path) and os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
     if not ok:
         raise InvalidConfig(f"cannot write --out {path!r}")
 

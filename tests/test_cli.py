@@ -264,6 +264,15 @@ class TestRegion:
             "line_feasible": False, "chsh_violated": True, "gap": False,
         }
 
+    def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path):
+        res = run_cli(
+            "region", "--eta-steps", "2", "--vis-steps", "2",
+            "--out", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+
     def test_rejects_single_step(self, tmp_path):
         res = run_cli(
             "region", "--eta-steps", "1", "--vis-steps", "5",
@@ -294,14 +303,15 @@ def test_no_arguments_prints_usage():
     ["sweep", "--eta", "0.7", "--v", "0.8", "--steps", "25", "--pairs", "1000000"],
     ["region", "--eta-steps", "101", "--vis-steps", "101"],
 ])
-@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+@pytest.mark.parametrize("out", ["missing/x.csv", ".", ""])
 def test_unwritable_out_fails_before_sampling(tmp_path, monkeypatch, capsys, command, out):
     def called(*args, **kwargs):
         raise AssertionError("sampled or scanned before checking --out")
 
     monkeypatch.setattr(cli, "theta_sweep", called)
     monkeypatch.setattr(cli, "region_scan", called)
-    status = cli.main(command + ["--out", str(tmp_path / out)])
+    monkeypatch.chdir(tmp_path)
+    status = cli.main(command + ["--out", out])
     res = capsys.readouterr()
     assert status == 2
     assert res.err.startswith("error: ")

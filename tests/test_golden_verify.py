@@ -1,18 +1,12 @@
 """Golden verify transcript: `singlet-lhv verify` must print it byte for byte.
 
-verify_suite states each invariant the package promises as one named check:
-the closed forms, the frontiers, the pattern geometry, the quadrature oracle
-against the closed forms, the sampled statistics at five sigma, and run
-determinism.  tests/golden_verify.txt freezes the stdout of
+tests/golden_verify.txt freezes the stdout of
 
     singlet-lhv verify --pairs 100000 --seed 42
 
-so each check's name, its place in the order, its threshold and its
-deviation at that budget and seed are pinned, and so is the exit status 0:
-every check passes.  A renamed, dropped, reordered or loosened check fails
-here, and so does any change to the sampled numbers.
-
-The file is regenerated only when a change is meant to alter the transcript:
+so it pins each check's name, place in the order, threshold and deviation,
+and the exit status 0. A renamed, dropped, reordered or loosened check fails
+here. Regenerate the file only when a change is meant to alter it:
 
     PYTHONPATH=src python tests/test_golden_verify.py --write
 """

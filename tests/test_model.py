@@ -300,18 +300,6 @@ class TestMeasure:
         lam = HiddenVariable(phi=0.5 * math.pi, r=0.6)
         assert measure(lam, 0.0, DetectorSide.ONE, p) is Outcome.NO_DETECTION
 
-    def test_matches_vectorized_path(self):
-        rng = np.random.Generator(np.random.Philox(key=7))
-        phi = rng.random(256) * 2.0 * math.pi
-        r = rng.random(256)
-        for kind, v in ((SIN, 0.8), (LINE, 0.8), (UNSYM, 1.0)):
-            p = solve_params(0.7, v, kind)
-            for side in DetectorSide:
-                vec = measure_many(phi, r, 0.9, side, p)
-                for i in range(0, 256, 17):
-                    lam = HiddenVariable(phi=float(phi[i]), r=float(r[i]))
-                    assert measure(lam, 0.9, side, p).value == int(vec[i])
-
     def test_anticorrelation_property(self):
         rng = np.random.Generator(np.random.Philox(key=11))
         phi = rng.random(20000) * 2.0 * math.pi

@@ -12,7 +12,6 @@ from singlet_lhv import (
     Tally,
     derive_seed,
     estimate,
-    nonideal_probs,
     run,
     solve_params,
     substream,
@@ -260,37 +259,6 @@ class TestRun:
         )
         t = run(cfg)
         assert t.n_total == 100001
-
-    def test_estimates_track_oracle(self):
-        # standard errors come from the oracle, as in every gate
-        t = run(self.cfg)
-        e = estimate(t)
-        n = t.n_total
-        q = nonideal_probs(math.pi / 3.0, 0.7, 0.8, SIN)
-        for count, want in (
-            (t.n_pp, q.p_pp), (t.n_pm, q.p_pm), (t.n_mp, q.p_mp), (t.n_mm, q.p_mm),
-        ):
-            assert abs(count / n - want) <= 5.0 * binomial_se(want, n)
-        assert abs(e.corr - (-0.8 * math.cos(math.pi / 3.0))) <= 5.0 * e.corr_se
-        assert abs(e.eta_1 - 0.7) <= 5.0 * binomial_se(0.7, n)
-        assert abs(e.eta_2 - 0.7) <= 5.0 * binomial_se(0.7, n)
-        assert abs(e.coincidence_rate - 0.49) <= 5.0 * binomial_se(0.49, n)
-
-    def test_exact_anticorrelation_at_full_visibility(self):
-        p = solve_params(0.75, 1.0, SIN)
-        cfg = RunConfig(params=p, angle_1=1.1, angle_2=1.1, n_pairs=200000, seed=5)
-        t = run(cfg)
-        assert t.n_pp == 0
-        assert t.n_mm == 0
-        assert estimate(t).corr == -1.0
-
-    def test_staircase_runs_too(self):
-        p = solve_params(0.7, 0.8, LINE)
-        cfg = RunConfig(params=p, angle_1=0.2, angle_2=0.2 + math.pi / 4.0,
-                        n_pairs=100000, seed=31)
-        e = estimate(run(cfg))
-        want = -0.8 / math.sqrt(2.0)
-        assert abs(e.corr - want) <= 5.0 * e.corr_se
 
 
 class TestEstimate:
