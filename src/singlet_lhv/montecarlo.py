@@ -6,10 +6,9 @@ Philox stream keyed by (seed << 64) | k, so any chunk can be regenerated in
 isolation and the tally is bit-identical no matter how many workers execute
 the chunks or in what order they finish.  Each pair consumes exactly two
 uniforms, phi = 2*pi*u1 and r = u2, in row order.  A chunk is drawn whole,
-then measured and counted in fixed tiles of _TILE pairs so that the
-temporaries of one tile stay in cache; a tally is a sum of counts, so the
-tiles leave the (params, angles, n_pairs, seed, chunk_size) contract as it
-is.
+measured whole at each station (measure_many keeps its own temporaries in
+cache) and counted once.  run() keeps at most two chunks per worker in
+flight and merges the tallies in chunk order.
 
 derive_seed() hands out decorrelated child seeds for higher-level drivers
 (one per sweep row or CHSH setting) through a SplitMix64 mix, keeping every
@@ -21,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,10 +32,6 @@ from .model import TWO_PI, DetectorSide, ModelParams, measure_many
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_CHUNK_SIZE = 1 << 16
-
-#: Pairs measured per measure_many call inside a chunk, sized so that one
-#: tile's temporaries fit in a 2 MiB L2 cache.
-_TILE = 1 << 14
 
 #: Tolerance, in standard errors, of every sampled statistic against its oracle.
 FIVE_SIGMA = 5.0
@@ -181,13 +177,9 @@ def _chunk_tally(config: RunConfig, k: int) -> Tally:
     u = substream(config.seed, k).random((m, 2))
     phi = TWO_PI * u[:, 0]
     r = np.ascontiguousarray(u[:, 1])
-    total = Tally.zero()
-    for lo in range(0, m, _TILE):
-        tile = slice(lo, lo + _TILE)
-        o1 = measure_many(phi[tile], r[tile], config.angle_1, DetectorSide.ONE, config.params)
-        o2 = measure_many(phi[tile], r[tile], config.angle_2, DetectorSide.TWO, config.params)
-        total = total + tally_outcomes(o1, o2)
-    return total
+    o1 = measure_many(phi, r, config.angle_1, DetectorSide.ONE, config.params)
+    o2 = measure_many(phi, r, config.angle_2, DetectorSide.TWO, config.params)
+    return tally_outcomes(o1, o2)
 
 
 def run(config: RunConfig, workers: int | None = None) -> Tally:
@@ -195,21 +187,24 @@ def run(config: RunConfig, workers: int | None = None) -> Tally:
 
     Chunks go to a thread pool of min(workers, chunks, cpu count) threads;
     when that is 1 (or workers is None) they run serially on the caller's
-    thread and no pool is made.  The result is identical either way.
+    thread and no pool is made.  A pool is given at most two chunks per
+    thread at a time, so a long run holds few pending chunks, and their
+    tallies are merged in chunk order.  The result is identical either way.
     """
-    indices = range(config.n_chunks)
     n_workers = min(workers or 1, config.n_chunks, os.cpu_count() or 1)
-    if n_workers <= 1:
-        tallies = (_chunk_tally(config, k) for k in indices)
-    else:
-        pool = ThreadPoolExecutor(max_workers=n_workers)
-        try:
-            tallies = list(pool.map(lambda k: _chunk_tally(config, k), indices))
-        finally:
-            pool.shutdown(wait=True)
     total = Tally.zero()
-    for t in tallies:
-        total = total + t
+    if n_workers <= 1:
+        for k in range(config.n_chunks):
+            total = total + _chunk_tally(config, k)
+        return total
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        pending = deque()
+        for k in range(config.n_chunks):
+            pending.append(pool.submit(_chunk_tally, config, k))
+            if len(pending) == 2 * n_workers:
+                total = total + pending.popleft().result()
+        for future in pending:
+            total = total + future.result()
     return total
 
 

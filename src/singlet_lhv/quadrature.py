@@ -20,12 +20,15 @@ on each piece.  The table matches the closed forms to a few 1e-16.
 
 The cuts restate the geometry that measure_many implements, so a probe
 guard checks them against measure_many itself: an r grid on every phi node
-is labelled in one batch, and a probe off a cut whose label is not its
-segment's raises SingletLhvError.
+is labelled in one measure_many call per station, which works through it in
+cache-sized slices.  Each probe's expected label is its segment's, laid out
+in one pass by counting the probes between consecutive cuts; a probe off a
+cut whose label is not its segment's raises SingletLhvError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,6 +122,29 @@ def _segments(
     return np.hstack(starts), np.hstack(lengths)
 
 
+def _probe_mismatches(
+    got: np.ndarray, probes: np.ndarray, cuts: np.ndarray, segment_label: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each probe's segment label, and where got differs from it off a cut.
+
+    got holds one row of probe labels per phi node, probes the ascending r
+    probes, and cuts each row's inner cuts in ascending order, as _segments
+    gives them.  searchsorted gives each cut the number of probes below it,
+    so the counts between consecutive cuts are the probes in each segment,
+    and one repeat of the segment labels lays out every probe's label.  A
+    probe counted at or below a cut ("right") but not below it ("left") sits
+    exactly on that cut, where either label may hold, and is not compared.
+    """
+    n_phi, r_probes = got.shape
+    below = np.searchsorted(probes, cuts, side="left")
+    counts = np.diff(below, axis=1, prepend=0, append=r_probes)
+    want = np.repeat(segment_label.ravel(), counts.ravel())
+    bad = got.ravel() != want
+    on_cut = np.searchsorted(probes, cuts, side="right") > below
+    bad[(r_probes * np.arange(n_phi)[:, None] + below)[on_cut]] = False
+    return want.reshape(n_phi, r_probes), bad.reshape(n_phi, r_probes)
+
+
 def _check_segments(
     phi: np.ndarray, cuts: np.ndarray, segment_label: np.ndarray, r_probes: int,
     angle_1: float, angle_2: float, params: ModelParams,
@@ -129,27 +155,23 @@ def _check_segments(
     got = _labels(
         np.repeat(phi, r_probes), np.tile(probes, n_phi), angle_1, angle_2, params
     ).reshape(n_phi, r_probes)
-    # searchsorted gives each inner cut the number k of probes below it
-    # ("left") or at or below it ("right"), so the cut lies at or below
-    # (strictly below) every probe from the k-th on.  Counted per probe,
-    # that is its segment, and the two counts differ only on a cut.
-    start = (r_probes + 1) * np.arange(n_phi)[:, None]
-    segment, segment_below = (
-        np.bincount(
-            (start + np.searchsorted(probes, cuts, side=side)).ravel(),
-            minlength=n_phi * (r_probes + 1),
-        ).reshape(n_phi, r_probes + 1)[:, :-1].cumsum(axis=1)
-        for side in ("left", "right")
-    )
-    want = np.take_along_axis(segment_label, segment, axis=1)
-    bad = (got != want) & (segment == segment_below)
+    want, bad = _probe_mismatches(got, probes, cuts, segment_label)
     if bad.any():
-        i, j = (int(k[0]) for k in np.nonzero(bad))
+        i, j = divmod(int(bad.argmax()), r_probes)
         o_got, o_want = (tuple(o - 1 for o in divmod(int(x[i, j]), 3)) for x in (got, want))
         raise SingletLhvError(
             f"measure_many disagrees with the pattern cuts at phi = {float(phi[i])!r}, "
             f"r = {float(probes[j])!r}: it gives outcomes {o_got}, the segment {o_want}"
         )
+
+
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def outcome_probabilities(
@@ -175,7 +197,7 @@ def outcome_probabilities(
         raise InvalidConfig(f"angles must be finite, got {(angle_1, angle_2)!r}")
 
     edges = _breakpoints(angle_1, angle_2)
-    x, wts = np.polynomial.legendre.leggauss(gl_order)
+    x, wts = _gauss_legendre(gl_order)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)

@@ -22,7 +22,7 @@ from singlet_lhv import (
     solve_params,
     unsymmetrized_marginals,
 )
-from singlet_lhv.model import FRONTIER_TOL, TWO_PI
+from singlet_lhv.model import _TILE, FRONTIER_TOL, TWO_PI
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -455,6 +455,53 @@ class TestMeasureManyMatchesReference:
             measure(HiddenVariable(1.0, 0.01), bad, side, p)
         with pytest.raises(DomainError):
             measure_many(bad, 0.01, 0.0, side, p)
+
+
+class TestTiles:
+    """Inputs on either side of _TILE events match measure() event by event."""
+
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
+    def test_matches_reference_across_tile_edges(self, n):
+        u = np.random.Generator(np.random.Philox(key=n)).random((n, 2))
+        phis, rs = (TWO_PI * u[:, 0]).tolist(), u[:, 1].tolist()
+        for kind, eta, v in _REFERENCE_POINTS[:3]:
+            p = ModelParams(eta, v, kind)
+            # The second angle needs fmod in every slice.
+            for angle, side in ((0.3, DetectorSide.ONE), (2.0 + 4.0 * math.pi, DetectorSide.TWO)):
+                _assert_matches_reference(phis, rs, angle, side, p)
+
+    def test_broadcast_input_spanning_tiles_keeps_shape(self):
+        p = ModelParams(0.9, 0.75, LINE)
+        phi = np.linspace(0.0, TWO_PI, 7, endpoint=False)[:, None]
+        r = (np.arange(_TILE // 3) + 0.5)[None, :] / (_TILE // 3)
+        got = measure_many(phi, r, 0.3, DetectorSide.TWO, p)
+        assert got.shape == (7, _TILE // 3) and got.size > 2 * _TILE
+        want = [
+            measure(HiddenVariable(x, y), 0.3, DetectorSide.TWO, p).value
+            for x, y in zip(*(a.ravel().tolist() for a in np.broadcast_arrays(phi, r)))
+        ]
+        assert got.ravel().tolist() == want
+
+    def test_fmod_needed_in_one_tile_only(self):
+        # With the setting at -1, phi - angle reaches 2*pi only where
+        # phi >= 2*pi - 1, and only the second slice holds such phases.
+        p = ModelParams(0.7, 0.8, SIN)
+        u = np.random.Generator(np.random.Philox(key=5)).random((3 * _TILE + 5, 2))
+        phi = (TWO_PI - 1.5) * u[:, 0]
+        phi[_TILE:2 * _TILE] += 1.5
+        assert (phi[_TILE:2 * _TILE] + 1.0 >= TWO_PI).any()
+        assert (np.delete(phi, np.s_[_TILE:2 * _TILE]) + 1.0 < TWO_PI).all()
+        for side in DetectorSide:
+            _assert_matches_reference(phi.tolist(), u[:, 1].tolist(), -1.0, side, p)
+
+    @pytest.mark.parametrize("kind, eta, v", _REFERENCE_POINTS[:3])
+    def test_nan_in_last_tile_is_rejected(self, kind, eta, v):
+        p = ModelParams(eta, v, kind)
+        phi = np.full(3 * _TILE + 5, 1.0)
+        phi[-1] = math.nan
+        for side in DetectorSide:
+            with pytest.raises(DomainError):
+                measure_many(phi, np.full(phi.size, 0.01), 0.4, side, p)
 
 
 class TestHiddenVariable:

@@ -19,8 +19,7 @@ from singlet_lhv import (
 )
 
 from singlet_lhv import montecarlo
-from singlet_lhv.model import TWO_PI, DetectorSide, measure_many
-from singlet_lhv.montecarlo import FIVE_SIGMA, _TILE, _chunk_tally, binomial_se, zscore
+from singlet_lhv.montecarlo import FIVE_SIGMA, binomial_se, zscore
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -175,27 +174,41 @@ class TestTally:
         assert tally_outcomes(o1.tolist(), o2.tolist()) == want
 
 
-class TestTiles:
-    """A chunk measured tile by tile tallies exactly as the whole chunk does."""
+def _recording_pool(made):
+    """A stand-in for ThreadPoolExecutor that starts no thread.
 
-    @pytest.mark.parametrize(
-        "chunk_size", [1, _TILE - 1, _TILE, _TILE + 1, (1 << 16) + 5]
-    )
-    def test_tiled_chunk_equals_untiled(self, chunk_size):
-        n_pairs = 5 if chunk_size == 1 else 2 * chunk_size - 3
-        for kind, eta, v in ((SIN, 0.7, 0.8), (LINE, 0.9, 0.75), (UNSYM, 0.7, 1.0)):
-            p = solve_params(eta, v, kind)
-            cfg = RunConfig(params=p, angle_1=0.3, angle_2=2.0 + 4.0 * math.pi,
-                            n_pairs=n_pairs, seed=17, chunk_size=chunk_size)
-            for k in range(cfg.n_chunks):
-                m = min(chunk_size, n_pairs - k * chunk_size)
-                u = substream(cfg.seed, k).random((m, 2))
-                phi, r = TWO_PI * u[:, 0], u[:, 1]
-                want = tally_outcomes(
-                    measure_many(phi, r, cfg.angle_1, DetectorSide.ONE, p),
-                    measure_many(phi, r, cfg.angle_2, DetectorSide.TWO, p),
-                )
-                assert _chunk_tally(cfg, k) == want
+    Each pool is appended to `made`.  A future runs its chunk when its
+    result is read, and the pool records the chunk indices in that order
+    and the most futures it ever had pending.
+    """
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.pending = self.peak = 0
+            self.order = []
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def submit(self, fn, config, k):
+            pool = self
+            pool.pending += 1
+            pool.peak = max(pool.peak, pool.pending)
+
+            class Future:
+                def result(self):
+                    pool.pending -= 1
+                    pool.order.append(k)
+                    return fn(config, k)
+
+            return Future()
+
+    return RecordingPool
 
 
 class TestRun:
@@ -224,20 +237,7 @@ class TestRun:
 
     def test_workers_are_clamped_to_chunks_and_cpus(self, monkeypatch):
         made = []
-
-        class RecordingPool:
-            """Stands in for ThreadPoolExecutor and starts no thread."""
-
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-            def shutdown(self, wait):
-                pass
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _recording_pool(made))
         cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=3 * 4096,
                         seed=9, chunk_size=4096)
         one_chunk = dataclasses.replace(cfg, n_pairs=4096)
@@ -250,7 +250,22 @@ class TestRun:
             monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
             made.clear()
             assert run(chunk_cfg, workers=workers) == serial[chunk_cfg]
-            assert made == ([] if pool_size is None else [pool_size])
+            want = [] if pool_size is None else [pool_size]
+            assert [pool.max_workers for pool in made] == want
+
+    def test_chunks_in_flight_are_bounded(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _recording_pool(made))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=20 * 1024 + 7,
+                        seed=9, chunk_size=1024)
+        serial = run(cfg)
+        for workers in (2, 3, 4):
+            made.clear()
+            assert run(cfg, workers=workers) == serial
+            (pool,) = made
+            assert pool.max_workers == workers and pool.peak == 2 * workers
+            assert pool.order == list(range(cfg.n_chunks))
 
     def test_tail_chunk(self):
         cfg = RunConfig(

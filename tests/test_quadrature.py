@@ -23,49 +23,6 @@ LINE = PatternKind.SYMMETRIZED_STAIRCASE
 UNSYM = PatternKind.UNSYMMETRIZED_SINUSOIDAL
 
 
-class TestAgainstClosedForms:
-    def test_sinusoidal_cells(self):
-        p = solve_params(0.7, 0.8, SIN)
-        pi = outcome_probabilities(p, 0.3, 0.3 + math.pi / 3.0)
-        q = nonideal_probs(math.pi / 3.0, 0.7, 0.8, SIN)
-        got = pi.prob_quad()
-        np.testing.assert_allclose(got.as_tuple(), q.as_tuple(), rtol=0.0, atol=1e-9)
-
-    def test_staircase_cells(self):
-        p = solve_params(0.7, 0.8, LINE)
-        pi = outcome_probabilities(p, 0.1, 2.1)
-        q = nonideal_probs(2.0, 0.7, 0.8, LINE)
-        np.testing.assert_allclose(
-            pi.prob_quad().as_tuple(), q.as_tuple(), rtol=0.0, atol=1e-9
-        )
-
-    def test_marginals_and_mass(self):
-        p = solve_params(0.7, 0.8, SIN)
-        pi = outcome_probabilities(p, 0.3, 0.3 + math.pi / 3.0)
-        assert pi.total() == pytest.approx(1.0, abs=1e-12)
-        assert pi.prob_quad().total() == pytest.approx(0.49, abs=1e-9)
-        for side in (DetectorSide.ONE, DetectorSide.TWO):
-            plus, minus, none = pi.marginal(side)
-            assert plus == pytest.approx(0.35, abs=1e-9)
-            assert minus == pytest.approx(0.35, abs=1e-9)
-            assert none == pytest.approx(0.3, abs=1e-9)
-
-    def test_angle_wraparound(self):
-        p = solve_params(0.7, 0.8, SIN)
-        pi = outcome_probabilities(p, 5.0, 5.0 + math.pi / 3.0 - 2.0 * math.pi)
-        q = nonideal_probs(math.pi / 3.0, 0.7, 0.8, SIN)
-        np.testing.assert_allclose(
-            pi.prob_quad().as_tuple(), q.as_tuple(), rtol=0.0, atol=1e-9
-        )
-
-    def test_cell_symmetries(self):
-        p = solve_params(0.6, 0.7, LINE)
-        pi = outcome_probabilities(p, 0.0, 1.0)
-        q = pi.prob_quad()
-        assert q.p_pp == pytest.approx(q.p_mm, abs=1e-10)
-        assert q.p_pm == pytest.approx(q.p_mp, abs=1e-10)
-
-
 class TestUnsymmetrized:
     def setup_method(self):
         self.p = solve_params(0.7, 1.0, UNSYM)
@@ -274,3 +231,89 @@ class TestProbeGuard:
         assert params.a == 2.5 / 16
         got = outcome_probabilities(params, 0.0, 1.0, r_probes=16).table
         np.testing.assert_allclose(got, joint_table(params, 1.0), rtol=0.0, atol=1e-15)
+
+
+def _reference_mismatches(got, probes, cuts, segment_label):
+    """The guard's earlier formula: each probe's segment from cumulative cut counts."""
+    n_phi, r_probes = got.shape
+    start = (r_probes + 1) * np.arange(n_phi)[:, None]
+    segment, segment_below = (
+        np.bincount(
+            (start + np.searchsorted(probes, cuts, side=side)).ravel(),
+            minlength=n_phi * (r_probes + 1),
+        ).reshape(n_phi, r_probes + 1)[:, :-1].cumsum(axis=1)
+        for side in ("left", "right")
+    )
+    want = np.take_along_axis(segment_label, segment, axis=1)
+    return want, (got != want) & (segment == segment_below)
+
+
+def _guard_case(rng, family):
+    """(got, probes, cuts, segment_label): sorted cuts of one family, labels mostly right."""
+    r_probes = int(rng.integers(16, 48))
+    n_phi = int(rng.integers(1, 6))
+    n_cuts = int(rng.choice((2, 7)))
+    probes = (np.arange(r_probes) + 0.5) / r_probes
+    cuts = rng.random((n_phi, n_cuts))
+    pick = rng.random(cuts.shape) < 0.5
+    if family == "on-probes":
+        cuts[pick] = rng.choice(probes, size=int(pick.sum()))
+    elif family == "edges":
+        cuts[pick] = rng.choice((0.0, 0.5, 1.0), size=int(pick.sum()))
+    cuts.sort(axis=1)
+    if family == "duplicates":
+        for i, k in zip(*np.nonzero(pick[:, 1:])):
+            cuts[i, k + 1] = cuts[i, k]
+    segment_label = rng.integers(0, 9, (n_phi, n_cuts + 1)).astype(np.int8)
+    got, _ = _reference_mismatches(
+        np.zeros((n_phi, r_probes), np.int8), probes, cuts, segment_label
+    )
+    flip = rng.random(got.shape) < rng.choice((0.0, 0.02, 0.3))
+    got = np.where(flip, rng.integers(0, 9, got.shape), got).astype(np.int8)
+    return got, probes, cuts, segment_label
+
+
+_FAMILIES = ("random", "on-probes", "duplicates", "edges")
+
+
+class TestProbeMismatches:
+    """The one-pass guard flags exactly the probes the cumulative-count formula flags."""
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_matches_reference_formula(self, monkeypatch, family):
+        rng = np.random.default_rng(_FAMILIES.index(family))
+        params = solve_params(0.7, 0.8, SIN)
+        raised = 0
+        for _ in range(400):
+            got, probes, cuts, segment_label = _guard_case(rng, family)
+            want_ref, bad_ref = _reference_mismatches(got, probes, cuts, segment_label)
+            want, bad = quadrature._probe_mismatches(got, probes, cuts, segment_label)
+            assert np.array_equal(bad, bad_ref) and np.array_equal(want, want_ref)
+            n_phi, r_probes = got.shape
+            phi = rng.random(n_phi) * 6.0
+            monkeypatch.setattr(quadrature, "_labels", lambda *args: got.ravel())
+            if not bad_ref.any():
+                quadrature._check_segments(phi, cuts, segment_label, r_probes, 0.0, 0.0, params)
+                continue
+            raised += 1
+            i, j = np.argwhere(bad_ref)[0]
+            o_got, o_want = (
+                tuple(o - 1 for o in divmod(int(x[i, j]), 3)) for x in (got, want_ref)
+            )
+            text = (
+                f"measure_many disagrees with the pattern cuts at phi = {float(phi[i])!r}, "
+                f"r = {float(probes[j])!r}: it gives outcomes {o_got}, the segment {o_want}"
+            )
+            with pytest.raises(SingletLhvError) as err:
+                quadrature._check_segments(phi, cuts, segment_label, r_probes, 0.0, 0.0, params)
+            assert str(err.value) == text
+        assert 100 < raised < 400
+
+    def test_gauss_legendre_arrays_are_cached_and_read_only(self):
+        x, w = quadrature._gauss_legendre(24)
+        assert quadrature._gauss_legendre(24)[0] is x
+        want_x, want_w = np.polynomial.legendre.leggauss(24)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+        for array in (x, w):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
