@@ -165,9 +165,9 @@ def _check_segments(
         )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only; the last 8 orders are kept."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False

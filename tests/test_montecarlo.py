@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,19 +175,18 @@ class TestTally:
         assert tally_outcomes(o1.tolist(), o2.tolist()) == want
 
 
-def _recording_pool(made):
-    """A stand-in for ThreadPoolExecutor that starts no thread.
+@pytest.fixture
+def pools(monkeypatch):
+    """Patch in a ThreadPoolExecutor that starts no thread; return the pools it makes.
 
-    Each pool is appended to `made`.  A future runs its chunk when its
-    result is read, and the pool records the chunk indices in that order
-    and the most futures it ever had pending.
+    A future runs its chunk when its result is read.  Each pool records its
+    size, the chunk order of those reads and the most futures ever pending.
     """
+    made = []
 
-    class RecordingPool:
+    class FakePool:
         def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.pending = self.peak = 0
-            self.order = []
+            self.max_workers, self.pending, self.peak, self.order = max_workers, 0, 0, []
             made.append(self)
 
         def __enter__(self):
@@ -196,19 +196,17 @@ def _recording_pool(made):
             pass
 
         def submit(self, fn, config, k):
-            pool = self
-            pool.pending += 1
-            pool.peak = max(pool.peak, pool.pending)
+            self.pending += 1
+            self.peak = max(self.peak, self.pending)
+            return SimpleNamespace(result=lambda: self._read(fn, config, k))
 
-            class Future:
-                def result(self):
-                    pool.pending -= 1
-                    pool.order.append(k)
-                    return fn(config, k)
+        def _read(self, fn, config, k):
+            self.pending -= 1
+            self.order.append(k)
+            return fn(config, k)
 
-            return Future()
-
-    return RecordingPool
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
+    return made
 
 
 class TestRun:
@@ -235,9 +233,7 @@ class TestRun:
         assert run(self.cfg, workers=4) == serial
         assert run(self.cfg, workers=7) == serial
 
-    def test_workers_are_clamped_to_chunks_and_cpus(self, monkeypatch):
-        made = []
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _recording_pool(made))
+    def test_workers_are_clamped_to_chunks_and_cpus(self, monkeypatch, pools):
         cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=3 * 4096,
                         seed=9, chunk_size=4096)
         one_chunk = dataclasses.replace(cfg, n_pairs=4096)
@@ -248,22 +244,20 @@ class TestRun:
             (4, 0, cfg, None), (4, None, cfg, None),
         ):
             monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-            made.clear()
+            pools.clear()
             assert run(chunk_cfg, workers=workers) == serial[chunk_cfg]
             want = [] if pool_size is None else [pool_size]
-            assert [pool.max_workers for pool in made] == want
+            assert [pool.max_workers for pool in pools] == want
 
-    def test_chunks_in_flight_are_bounded(self, monkeypatch):
-        made = []
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _recording_pool(made))
+    def test_chunks_in_flight_are_bounded(self, monkeypatch, pools):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=20 * 1024 + 7,
                         seed=9, chunk_size=1024)
         serial = run(cfg)
         for workers in (2, 3, 4):
-            made.clear()
+            pools.clear()
             assert run(cfg, workers=workers) == serial
-            (pool,) = made
+            (pool,) = pools
             assert pool.max_workers == workers and pool.peak == 2 * workers
             assert pool.order == list(range(cfg.n_chunks))
 

@@ -317,3 +317,6 @@ class TestProbeMismatches:
         for array in (x, w):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+        for order in range(2, 40):
+            quadrature._gauss_legendre(order)
+        assert quadrature._gauss_legendre.cache_info().currsize <= 8
