@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Five subcommands: params, sweep, chsh, region, verify.  Output files are
-deterministic byte-for-byte for identical invocations.  Floats are printed
-as their shortest round-trip decimal, booleans as true/false, CSV with LF
-line endings; CSV and JSON rows are the fields of the result dataclasses,
-in field order.  Exit codes: 0 success, 1 gate or check failure, 2 usage,
+deterministic byte-for-byte for identical invocations, at any --workers
+(sweep, chsh and verify).  Floats are printed as their shortest round-trip
+decimal, booleans as true/false, CSV with LF line endings; CSV and JSON
+rows are the fields of the result dataclasses, in field order.  Exit codes: 0 success, 1 gate or check failure, 2 usage,
 infeasible input or an output file that cannot be written (one error: line
 on stderr), 3 inconclusive (a sweep row had no coincidences, so the gate
 could not test it; no tested row failed).
@@ -25,7 +25,7 @@ from .analytic import STANDARD_CHSH_ANGLES, ChshAngles, max_visibility
 from .errors import DegeneratePoint, InfeasibleParameters, InvalidConfig, SingletLhvError
 from .experiments import chsh_experiment, region_scan, sweep_gate, theta_sweep, verify_suite
 from .model import ModelParams, PatternKind, solve_params
-from .montecarlo import DEFAULT_CHUNK_SIZE
+from .montecarlo import DEFAULT_CHUNK_SIZE, _check_int
 
 _MODEL_NAMES = {
     "sin": PatternKind.SYMMETRIZED_SINUSOIDAL,
@@ -138,7 +138,8 @@ def cmd_sweep(args) -> int:
     _check_out(args.out)
     params = _solve_from_args(args)
     rows = theta_sweep(
-        params, n_steps=args.steps, pairs_per_step=args.pairs, seed=args.seed
+        params, n_steps=args.steps, pairs_per_step=args.pairs, seed=args.seed,
+        workers=args.workers,
     )
     gate = sweep_gate(rows, params)
     dicts = [vars(row) for row in rows]
@@ -184,7 +185,8 @@ def cmd_chsh(args) -> int:
     else:
         angles = _parse_angles(args.angles, args.degrees)
     report = chsh_experiment(
-        params, angles=angles, pairs_per_setting=args.pairs, seed=args.seed
+        params, angles=angles, pairs_per_setting=args.pairs, seed=args.seed,
+        workers=args.workers,
     )
     totals = {
         k: v for k, v in vars(report).items() if k not in ("angles", "settings")
@@ -211,7 +213,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_suite(pairs_budget=args.pairs, seed=args.seed)
+    report = verify_suite(pairs_budget=args.pairs, seed=args.seed, workers=args.workers)
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -239,10 +241,22 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _worker_count(text: str) -> int:
+    # InvalidConfig, unlike ValueError, passes through argparse to main's one error: line.
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    return _check_int("--workers", value)
+
+
 def _add_run_flags(p: argparse.ArgumentParser, pairs_default: int) -> None:
     p.add_argument("--pairs", type=int, default=pairs_default,
                    help=f"pairs per run (default: {pairs_default})")
     p.add_argument("--seed", type=int, default=42, help="master seed (default: 42)")
+    p.add_argument("--workers", type=_worker_count, default=None,
+                   help="sampling threads per run; results do not depend on it "
+                        "(default: serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SingletLhvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

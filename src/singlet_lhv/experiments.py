@@ -47,6 +47,7 @@ from .montecarlo import (
     RunConfig,
     Tally,
     _check_int,
+    _tally_chunks,
     binomial_se,
     correlation_se,
     derive_seed,
@@ -599,9 +600,7 @@ def _determinism_checks(seed: int) -> list[CheckResult]:
     diffs = int(t1 != t2) + int(t1 != t3) + int(t1 != t4)
     out.append(_result("run-determinism-across-workers", diffs, 0.0))
 
-    from .montecarlo import _chunk_tally
-
-    chunks = [_chunk_tally(cfg, k) for k in range(cfg.n_chunks)]
+    chunks = [_tally_chunks(cfg, (k,)) for k in range(cfg.n_chunks)]
     fwd = Tally.zero()
     for t in chunks:
         fwd = fwd + t

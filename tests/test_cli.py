@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from singlet_lhv import __version__, cli, derive_seed
+from singlet_lhv import __version__, cli, derive_seed, montecarlo
 from singlet_lhv.montecarlo import DEFAULT_CHUNK_SIZE
 
 CLI = [sys.executable, "-m", "singlet_lhv.cli"]
@@ -315,6 +316,51 @@ def test_unwritable_out_fails_before_sampling(tmp_path, monkeypatch, capsys, com
     res = capsys.readouterr()
     assert status == 2
     assert res.err.startswith("error: ")
+    assert len(res.err.splitlines()) == 1
+    assert res.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+RUN_COMMANDS = {
+    "sweep": ["sweep", "--eta", "0.7", "--v", "0.8", "--steps", "3", "--pairs", "150000",
+              "--seed", "4", "--out", "sweep.csv"],
+    "chsh": ["chsh", "--eta", "0.9", "--v", "0.5", "--pairs", "150000"],
+    "verify": ["verify", "--pairs", "100000", "--seed", "42"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+def test_worker_count_never_changes_output(tmp_path, monkeypatch, capsys, command):
+    # Each run has more than one chunk, so --workers 2 reaches a pool of 2.
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for workers in ("1", "2"):
+        pools.clear()
+        assert cli.main(RUN_COMMANDS[command] + ["--workers", workers]) == 0
+        assert (2 in pools) == (workers == "2")
+        csv = (tmp_path / "sweep.csv").read_bytes() if command == "sweep" else b""
+        outputs.append((capsys.readouterr().out, csv))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]
+
+
+@pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+@pytest.mark.parametrize("value", ["-1", "1.5", "two"])
+def test_bad_worker_count_is_one_error_line(tmp_path, monkeypatch, capsys, command, value):
+    monkeypatch.chdir(tmp_path)
+    status = cli.main(RUN_COMMANDS[command] + ["--workers", value])
+    res = capsys.readouterr()
+    assert status == 2
+    assert res.err.startswith("error: --workers must be an integer")
     assert len(res.err.splitlines()) == 1
     assert res.out == ""
     assert list(tmp_path.iterdir()) == []

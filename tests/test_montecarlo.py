@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,14 +178,14 @@ class TestTally:
 def pools(monkeypatch):
     """Patch in a ThreadPoolExecutor that starts no thread; return the pools it makes.
 
-    A future runs its chunk when its result is read.  Each pool records its
-    size, the chunk order of those reads and the most futures ever pending.
+    map runs its jobs in turn on the caller's thread.  Each pool records its
+    size and the chunks of each job.
     """
     made = []
 
     class FakePool:
         def __init__(self, max_workers):
-            self.max_workers, self.pending, self.peak, self.order = max_workers, 0, 0, []
+            self.max_workers, self.jobs = max_workers, []
             made.append(self)
 
         def __enter__(self):
@@ -195,15 +194,10 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             pass
 
-        def submit(self, fn, config, k):
-            self.pending += 1
-            self.peak = max(self.peak, self.pending)
-            return SimpleNamespace(result=lambda: self._read(fn, config, k))
-
-        def _read(self, fn, config, k):
-            self.pending -= 1
-            self.order.append(k)
-            return fn(config, k)
+        def map(self, fn, configs, chunk_lists):
+            for config, chunks in zip(configs, chunk_lists):
+                self.jobs.append(list(chunks))
+                yield fn(config, chunks)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
     return made
@@ -249,7 +243,7 @@ class TestRun:
             want = [] if pool_size is None else [pool_size]
             assert [pool.max_workers for pool in pools] == want
 
-    def test_chunks_in_flight_are_bounded(self, monkeypatch, pools):
+    def test_each_worker_gets_its_residue_class(self, monkeypatch, pools):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=20 * 1024 + 7,
                         seed=9, chunk_size=1024)
@@ -258,8 +252,31 @@ class TestRun:
             pools.clear()
             assert run(cfg, workers=workers) == serial
             (pool,) = pools
-            assert pool.max_workers == workers and pool.peak == 2 * workers
-            assert pool.order == list(range(cfg.n_chunks))
+            assert pool.max_workers == workers
+            assert pool.jobs == [
+                list(range(w, cfg.n_chunks, workers)) for w in range(workers)
+            ]
+            assert sorted(sum(pool.jobs, [])) == list(range(cfg.n_chunks))
+
+    @pytest.mark.parametrize("workers", [-1, 2.5, True, "2"])
+    def test_rejects_bad_worker_counts(self, workers):
+        with pytest.raises(InvalidConfig):
+            run(self.cfg, workers=workers)
+
+    def test_buffer_fits_a_run_shorter_than_its_chunk(self):
+        cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=10, seed=9,
+                        chunk_size=2**40)
+        assert run(cfg).n_total == 10
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_run_is_the_sum_of_its_chunks(self, monkeypatch, workers):
+        # The tail chunk is shorter than the buffer its worker reuses.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=3 * 4096 + 5,
+                        seed=9, chunk_size=4096)
+        chunks = [montecarlo._tally_chunks(cfg, (k,)) for k in range(cfg.n_chunks)]
+        assert [t.n_total for t in chunks] == [4096, 4096, 4096, 5]
+        assert run(cfg, workers=workers) == sum(chunks, Tally.zero())
 
     def test_tail_chunk(self):
         cfg = RunConfig(
