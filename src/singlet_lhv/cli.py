@@ -255,7 +255,7 @@ def _add_run_flags(p: argparse.ArgumentParser, pairs_default: int) -> None:
                    help=f"pairs per run (default: {pairs_default})")
     p.add_argument("--seed", type=int, default=42, help="master seed (default: 42)")
     p.add_argument("--workers", type=_worker_count, default=None,
-                   help="sampling threads per run; results do not depend on it "
+                   help="sampling threads; results do not depend on it "
                         "(default: serial)")
 
 

@@ -53,6 +53,7 @@ from .montecarlo import (
     derive_seed,
     estimate,
     run,
+    run_many,
     zscore,
 )
 from .quadrature import outcome_probabilities
@@ -89,19 +90,21 @@ def theta_sweep(
     """Sample the coincidence statistics on a uniform theta grid over [0, pi].
 
     Station one stays at angle 0; station two takes each grid angle.  Row i
-    runs with child seed derive_seed(seed, i).
+    runs with child seed derive_seed(seed, i).  The rows are one run_many
+    batch.
     """
     n_steps = _check_int("n_steps", n_steps, lo=2)
     pairs_per_step = _check_int("pairs_per_step", pairs_per_step, lo=1)
-    rows = []
-    for i in range(n_steps):
-        theta = i * math.pi / (n_steps - 1)
-        child = derive_seed(seed, i)
-        cfg = RunConfig(
-            params=params, angle_1=0.0, angle_2=theta,
-            n_pairs=pairs_per_step, seed=child,
+    configs = [
+        RunConfig(
+            params=params, angle_1=0.0, angle_2=i * math.pi / (n_steps - 1),
+            n_pairs=pairs_per_step, seed=derive_seed(seed, i),
         )
-        tally = run(cfg, workers=workers)
+        for i in range(n_steps)
+    ]
+    rows = []
+    for cfg, tally in zip(configs, run_many(configs, workers=workers)):
+        theta = cfg.angle_2
         n = tally.n_total
         try:
             corr_mc = estimate(tally).corr
@@ -117,7 +120,7 @@ def theta_sweep(
             corr_mc=corr_mc,
             corr=correlation(theta, params.v, params.kind),
             n_pairs=pairs_per_step,
-            seed=child,
+            seed=cfg.seed,
         ))
     return rows
 
@@ -200,7 +203,8 @@ def chsh_experiment(
     seed: int = 42,
     workers: int | None = None,
 ) -> ChshReport:
-    """Estimate S from four runs and compare to the efficiency-adjusted bound.
+    """Estimate S from four runs, one run_many batch, and compare to the
+    efficiency-adjusted bound.
 
     violated_mc applies the package-wide five-sigma convention: the sampled
     S must exceed the bound by five combined standard errors, so runs at
@@ -213,17 +217,19 @@ def chsh_experiment(
         ("bc", angles.phi_b, angles.phi_c),
         ("bd", angles.phi_b, angles.phi_d),
     )
-    settings = []
-    for i, (label, a1, a2) in enumerate(pairs):
-        child = derive_seed(seed, i)
-        cfg = RunConfig(
+    configs = [
+        RunConfig(
             params=params, angle_1=a1, angle_2=a2,
-            n_pairs=pairs_per_setting, seed=child,
+            n_pairs=pairs_per_setting, seed=derive_seed(seed, i),
         )
-        est = estimate(run(cfg, workers=workers))
+        for i, (_, a1, a2) in enumerate(pairs)
+    ]
+    settings = []
+    for (label, a1, a2), cfg, tally in zip(pairs, configs, run_many(configs, workers=workers)):
+        est = estimate(tally)
         settings.append(ChshSetting(
             label=label, angle_1=a1, angle_2=a2,
-            corr_mc=est.corr, se=est.corr_se, seed=child,
+            corr_mc=est.corr, se=est.corr_se, seed=cfg.seed,
         ))
     e = {s.label: s.corr_mc for s in settings}
     s_mc = abs(e["ac"] - e["ad"]) + abs(e["bc"] + e["bd"])
@@ -600,7 +606,9 @@ def _determinism_checks(seed: int) -> list[CheckResult]:
     diffs = int(t1 != t2) + int(t1 != t3) + int(t1 != t4)
     out.append(_result("run-determinism-across-workers", diffs, 0.0))
 
-    chunks = [_tally_chunks(cfg, (k,)) for k in range(cfg.n_chunks)]
+    chunks = _tally_chunks(
+        [cfg] * cfg.n_chunks, [(k,) for k in range(cfg.n_chunks)], cfg.chunk_size
+    )
     fwd = Tally.zero()
     for t in chunks:
         fwd = fwd + t

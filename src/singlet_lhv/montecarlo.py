@@ -7,8 +7,10 @@ isolation and the tally is bit-identical no matter how many workers execute
 the chunks or in what order they finish.  Each pair consumes exactly two
 uniforms, phi = 2*pi*u1 and r = u2, in row order.  A chunk is drawn whole,
 measured whole at each station (measure_many keeps its own temporaries in
-cache) and counted once.  Each worker of run() takes every n-th chunk and
-keeps phi and r in one buffer for all of them; the tallies are summed.
+cache) and counted once.  run_many() tallies a batch of runs, such as a
+sweep's rows, from one pool: each worker takes every n-th chunk of every run
+and keeps phi and r in one buffer for the whole batch; the tallies are
+summed per run.  run() is a batch of one.
 
 derive_seed() hands out decorrelated child seeds for higher-level drivers
 (one per sweep row or CHSH setting) through a SplitMix64 mix, keeping every
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -182,34 +185,62 @@ def _chunk_tally(config: RunConfig, k: int, *, buf: np.ndarray) -> Tally:
     return tally_outcomes(o1, o2)
 
 
-def _tally_chunks(config: RunConfig, chunks) -> Tally:
-    """Sum the tallies of the given chunks, with phi and r in one buffer for all."""
-    buf = np.empty((2, min(config.chunk_size, config.n_pairs)))
-    total = Tally.zero()
-    for k in chunks:
-        total = total + _chunk_tally(config, k, buf=buf)
-    return total
+def _tally_chunks(configs, chunk_lists, size: int) -> list[Tally]:
+    """Each config's tally over its chunks in chunk_lists, with phi and r in one buffer.
+
+    The buffer holds size pairs, at least the longest chunk of any config.
+    """
+    buf = np.empty((2, size))
+    tallies = []
+    for config, chunks in zip(configs, chunk_lists):
+        total = Tally.zero()
+        for k in chunks:
+            total = total + _chunk_tally(config, k, buf=buf)
+        tallies.append(total)
+    return tallies
+
+
+def run_many(configs: Iterable[RunConfig], workers: int | None = None) -> list[Tally]:
+    """Simulate each configured run and return its tally, in config order.
+
+    Each tally equals run(config), and the batch shares one scheduler.
+    Chunks go to min(workers, the batch's largest n_chunks, cpu count)
+    workers; when that is 1 (or workers is None) they run serially on the
+    caller's thread and no pool is made, so a batch of single-chunk runs
+    never starts a thread.  Otherwise worker w of n takes chunks w, w + n,
+    w + 2n, ... of each config in turn as one pool job, so the batch holds
+    one future per worker.  Each worker allocates one phi/r buffer that fits
+    the batch's longest chunk, 16 * max(min(chunk_size, n_pairs)) bytes, and
+    reuses it for all its chunks; the buffers are freed when the batch
+    returns.
+    Tallies are integer sums, so the result is identical either way.
+    workers, when given, must be an integer of at least 0.
+    """
+    configs = list(configs)
+    n_workers = 1 if workers is None else _check_int("workers", workers)
+    most_chunks = max((config.n_chunks for config in configs), default=1)
+    n_workers = min(n_workers or 1, most_chunks, os.cpu_count() or 1)
+    size = max((min(config.chunk_size, config.n_pairs) for config in configs), default=0)
+    shares = [
+        [range(w, config.n_chunks, n_workers) for config in configs]
+        for w in range(n_workers)
+    ]
+    if n_workers <= 1:
+        return _tally_chunks(configs, shares[0], size)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        per_worker = list(
+            pool.map(_tally_chunks, [configs] * n_workers, shares, [size] * n_workers)
+        )
+    return [sum(tallies, Tally.zero()) for tallies in zip(*per_worker)]
 
 
 def run(config: RunConfig, workers: int | None = None) -> Tally:
     """Simulate the configured pairs and return the merged tally.
 
-    Chunks go to min(workers, chunks, cpu count) workers; when that is 1
-    (or workers is None) they run serially on the caller's thread and no
-    pool is made.  Otherwise worker w of n takes chunks w, w + n, w + 2n, ...
-    as one pool job, so a run holds one future per worker.  Each worker
-    allocates one phi/r buffer of 16 * min(chunk_size, n_pairs) bytes and
-    reuses it for all its chunks; the buffers are freed when run() returns.
-    Tallies are integer sums, so the result is identical either way.
-    workers, when given, must be an integer of at least 0.
+    A batch of one: run_many([config], workers)[0].  See run_many for how
+    chunks are scheduled and buffered.
     """
-    n_workers = 1 if workers is None else _check_int("workers", workers)
-    n_workers = min(n_workers or 1, config.n_chunks, os.cpu_count() or 1)
-    if n_workers <= 1:
-        return _tally_chunks(config, range(config.n_chunks))
-    classes = [range(w, config.n_chunks, n_workers) for w in range(n_workers)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return sum(pool.map(_tally_chunks, [config] * n_workers, classes), Tally.zero())
+    return run_many([config], workers)[0]
 
 
 def binomial_se(p: float, n: float) -> float:

@@ -10,12 +10,14 @@ from singlet_lhv import (
     PatternKind,
     RunConfig,
     Tally,
+    chsh_experiment,
     derive_seed,
     estimate,
     run,
     solve_params,
     substream,
     tally_outcomes,
+    theta_sweep,
 )
 
 from singlet_lhv import montecarlo
@@ -179,13 +181,13 @@ def pools(monkeypatch):
     """Patch in a ThreadPoolExecutor that starts no thread; return the pools it makes.
 
     map runs its jobs in turn on the caller's thread.  Each pool records its
-    size and the chunks of each job.
+    size and, per job, the chunks it takes of each config of the batch.
     """
     made = []
 
     class FakePool:
         def __init__(self, max_workers):
-            self.max_workers, self.jobs = max_workers, []
+            self.max_workers, self.shares = max_workers, []
             made.append(self)
 
         def __enter__(self):
@@ -194,10 +196,15 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             pass
 
-        def map(self, fn, configs, chunk_lists):
-            for config, chunks in zip(configs, chunk_lists):
-                self.jobs.append(list(chunks))
-                yield fn(config, chunks)
+        def map(self, fn, config_lists, shares, sizes):
+            for configs, share, size in zip(config_lists, shares, sizes):
+                self.shares.append([list(chunks) for chunks in share])
+                yield fn(configs, share, size)
+
+        @property
+        def jobs(self):
+            """The chunks of each job and config, flat: one list per job for one run."""
+            return [chunks for share in self.shares for chunks in share]
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
     return made
@@ -274,7 +281,10 @@ class TestRun:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=3 * 4096 + 5,
                         seed=9, chunk_size=4096)
-        chunks = [montecarlo._tally_chunks(cfg, (k,)) for k in range(cfg.n_chunks)]
+        chunks = [
+            montecarlo._chunk_tally(cfg, k, buf=np.empty((2, cfg.chunk_size)))
+            for k in range(cfg.n_chunks)
+        ]
         assert [t.n_total for t in chunks] == [4096, 4096, 4096, 5]
         assert run(cfg, workers=workers) == sum(chunks, Tally.zero())
 
@@ -285,6 +295,75 @@ class TestRun:
         )
         t = run(cfg)
         assert t.n_total == 100001
+
+
+class TestRunMany:
+    def setup_method(self):
+        self.batch = [
+            RunConfig(params=solve_params(0.6, 0.9, LINE), angle_1=0.3, angle_2=2.0,
+                      n_pairs=2000, seed=10, chunk_size=4096),
+            RunConfig(params=solve_params(0.7, 0.8, SIN), angle_1=0.0, angle_2=0.5,
+                      n_pairs=5 * 1024 + 3, seed=9, chunk_size=1024),
+            RunConfig(params=solve_params(0.7, 1.0, UNSYM), angle_1=1.0, angle_2=-0.4,
+                      n_pairs=3 * 2048, seed=11, chunk_size=2048),
+            RunConfig(params=solve_params(0.7, 0.8, SIN), angle_1=2.5, angle_2=0.1,
+                      n_pairs=1500, seed=12, chunk_size=512),
+        ]
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3, 7])
+    def test_each_tally_is_its_run(self, monkeypatch, workers):
+        # A run shorter than its chunk, chunks of 1024 with a tail, an exact
+        # fit, and chunks of 512: every worker's buffer is 2048 pairs, and
+        # the run with the most chunks is not the first.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        want = [run(cfg) for cfg in self.batch]
+        assert [t.n_total for t in want] == [2000, 5 * 1024 + 3, 3 * 2048, 1500]
+        assert montecarlo.run_many(self.batch, workers=workers) == want
+
+    def test_workers_share_out_every_config_by_residue(self, monkeypatch, pools):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        want = [run(cfg) for cfg in self.batch]
+        assert montecarlo.run_many(self.batch, workers=3) == want
+        (pool,) = pools
+        assert pool.max_workers == 3
+        assert pool.shares == [
+            [list(range(w, cfg.n_chunks, 3)) for cfg in self.batch] for w in range(3)
+        ]
+
+    def test_empty_batch(self, pools):
+        assert montecarlo.run_many([], workers=4) == []
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [-1, 2.5, True, "2"])
+    def test_rejects_bad_worker_counts(self, workers):
+        with pytest.raises(InvalidConfig):
+            montecarlo.run_many(self.batch, workers=workers)
+        with pytest.raises(InvalidConfig):
+            montecarlo.run_many([], workers=workers)
+
+
+class TestSweepAndChshPools:
+    # theta_sweep and chsh_experiment hand all their runs to one run_many.
+    def setup_method(self):
+        self.p = solve_params(0.7, 0.8, SIN)
+
+    def test_sweep_of_multi_chunk_rows_makes_one_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        rows = theta_sweep(self.p, n_steps=3,
+                           pairs_per_step=3 * montecarlo.DEFAULT_CHUNK_SIZE, workers=2)
+        assert len(rows) == 3
+        assert [pool.max_workers for pool in pools] == [2]
+
+    def test_chsh_makes_one_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        chsh_experiment(self.p, pairs_per_setting=2 * montecarlo.DEFAULT_CHUNK_SIZE + 1,
+                        workers=2)
+        assert [pool.max_workers for pool in pools] == [2]
+
+    def test_sweep_of_single_chunk_rows_makes_no_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        theta_sweep(self.p, n_steps=3, pairs_per_step=1000, workers=2)
+        assert pools == []
 
 
 class TestEstimate:
