@@ -151,8 +151,11 @@ def nonideal_probs(theta: float, eta: float, v: float, kind: PatternKind) -> Pro
     """Coincidence cells at efficiency eta and visibility v.
 
     The four cells sum to eta**2; dividing by that coincidence probability
-    recovers (1 -/+ v*g)/4.
+    recovers (1 -/+ v*g)/4.  The unsymmetrized kind has other cells and
+    raises DomainError; joint_table covers it.
     """
+    if kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
+        raise DomainError("nonideal_probs covers the symmetrized kinds; use joint_table for unsym")
     _check_unit("eta", eta)
     _check_unit("v", v)
     g = _correlation_shape(theta, kind)

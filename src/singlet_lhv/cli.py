@@ -4,10 +4,11 @@ Five subcommands: params, sweep, chsh, region, verify.  Output files are
 deterministic byte-for-byte for identical invocations, at any --workers
 (sweep, chsh and verify).  Floats are printed as their shortest round-trip
 decimal, booleans as true/false, CSV with LF line endings; CSV and JSON
-rows are the fields of the result dataclasses, in field order.  Exit codes: 0 success, 1 gate or check failure, 2 usage,
-infeasible input or an output file that cannot be written (one error: line
-on stderr), 3 inconclusive (a sweep row had no coincidences, so the gate
-could not test it; no tested row failed).
+rows are the fields of the result dataclasses, in field order.  Exit codes:
+0 success, 1 gate or check failure, 2 usage, infeasible input or an output
+file that cannot be written (one error: line on stderr), 3 inconclusive (a
+sweep row or CHSH setting had no coincidences, so the gate could not test
+it; no tested row failed).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _MODEL_NAMES = {
     "unsym": PatternKind.UNSYMMETRIZED_SINUSOIDAL,
 }
 
-#: Exit status of a sweep whose gate could not test every row.
+#: Exit status of a sweep or CHSH run whose gate could not test every row.
 EXIT_INCONCLUSIVE = 3
 
 
@@ -76,7 +77,7 @@ def _json_text(command: str, seed, params: ModelParams | None, rows, extra=None)
         {k: _jsonable(v) for k, v in row.items()} for row in rows
     ]}
     if extra:
-        doc.update(extra)
+        doc.update({k: _jsonable(v) for k, v in extra.items()})
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -196,6 +197,8 @@ def cmd_chsh(args) -> int:
         sys.stdout.write(_csv_text(rows))
     else:
         sys.stdout.write(_json_text("chsh", args.seed, params, rows, extra=totals))
+    if math.isnan(report.s_mc):
+        return EXIT_INCONCLUSIVE
     return 1 if report.violated_mc else 0
 
 

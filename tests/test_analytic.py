@@ -122,6 +122,11 @@ class TestNonidealProbs:
         with pytest.raises(DomainError):
             nonideal_probs(0.1, 0.5, 1.5, SIN)
 
+    def test_unsymmetrized_kind_is_refused(self):
+        # Its cells are not eta**2 (1 -/+ v g)/4; joint_table gives them.
+        with pytest.raises(DomainError, match="joint_table"):
+            nonideal_probs(0.0, 0.7, 1.0, PatternKind.UNSYMMETRIZED_SINUSOIDAL)
+
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_theta(self, theta):
         with pytest.raises(DomainError):
@@ -200,12 +205,6 @@ class TestChsh:
 
 
 class TestBellSlack:
-    def test_zero_at_critical_point(self):
-        s = bell_generalized_slack(
-            8.0 / 9.0, 1.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi / 3.0
-        )
-        assert s == pytest.approx(0.0, abs=1e-12)
-
     def test_negative_above_critical(self):
         s = bell_generalized_slack(
             0.95, 1.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi / 3.0

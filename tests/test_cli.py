@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from singlet_lhv import __version__, cli, derive_seed, montecarlo
+from singlet_lhv.experiments import CheckResult, SweepGate, VerifyReport
 from singlet_lhv.montecarlo import DEFAULT_CHUNK_SIZE
 
 CLI = [sys.executable, "-m", "singlet_lhv.cli"]
@@ -77,16 +78,6 @@ class TestSweep:
         mid = lines[2].split(",")
         assert mid[0] == repr(math.pi / 2.0)
 
-    def test_byte_identical_reruns(self, tmp_path):
-        args = (
-            "sweep", "--eta", "0.7", "--v", "0.8", "--model", "line",
-            "--steps", "3", "--pairs", "10000", "--seed", "4",
-        )
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(*args, "--out", str(a)).returncode == 0
-        assert run_cli(*args, "--out", str(b)).returncode == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_json_output(self, tmp_path):
         out = tmp_path / "sweep.json"
         res = run_cli(
@@ -136,6 +127,14 @@ class TestSweep:
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
         assert out.read_bytes() == b"kept\n"
+
+    def test_a_failed_gate_exits_one(self, tmp_path, monkeypatch, capsys):
+        failed = SweepGate(max_abs_deviation=0.5, max_sigma=9.0, passed=False, inconclusive=False)
+        monkeypatch.setattr(cli, "sweep_gate", lambda rows, params: failed)
+        argv = ["sweep", "--eta", "0.7", "--vis", "0.8", "--steps", "2", "--pairs", "100",
+                "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 1
+        assert "(FAIL at 5 sigma, worst 9.0)" in capsys.readouterr().out
 
     def test_no_coincidences_is_inconclusive_not_a_failure(self, tmp_path):
         res = run_cli(
@@ -219,11 +218,18 @@ class TestChsh:
         assert res.returncode == 2
         assert "requires --angles" in res.stderr
 
-    def test_no_coincidences_is_an_error_not_a_traceback(self):
-        res = run_cli("chsh", "--eta", "0.001", "--vis", "0", "--pairs", "10")
-        assert res.returncode == 2
-        assert res.stderr.splitlines() == ["error: no coincidences in tally"]
-        assert res.stdout == ""
+    @pytest.mark.parametrize("eta, vis, pairs, empty", [
+        ("0.001", "0", "10", 4), ("0.05", "0.3", "100", 3),
+    ])
+    def test_no_coincidences_is_inconclusive_not_an_error(self, eta, vis, pairs, empty):
+        res = run_cli("chsh", "--eta", eta, "--vis", vis, "--pairs", pairs)
+        assert res.returncode == 3
+        assert res.stderr == ""
+        lines = res.stdout.splitlines()
+        assert lines[0] == CHSH_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert sum(row[3:5] == ["nan", "nan"] for row in rows) == empty
+        assert all(row[6:8] == ["nan", "nan"] and row[10] == "false" for row in rows)
 
 
 class TestRegion:
@@ -241,12 +247,6 @@ class TestRegion:
             "1.0,0.0,true,true,false,false\n"
             "1.0,1.0,false,false,true,false\n"
         )
-
-    def test_reruns_are_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("region", "--eta-steps", "12", "--vis-steps", "9", "--out", str(a))
-        run_cli("region", "--eta-steps", "12", "--vis-steps", "9", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "region.json"
@@ -283,6 +283,12 @@ class TestRegion:
 
 
 class TestVerify:
+    def test_a_failed_check_exits_one(self, monkeypatch, capsys):
+        failed = CheckResult("some-check", deviation=2.0, threshold=1.0, passed=False)
+        monkeypatch.setattr(cli, "verify_suite", lambda **kwargs: VerifyReport((failed,)))
+        assert cli.main(["verify", "--pairs", "100000"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "1 of 1 checks FAILED"
+
     def test_rejects_tiny_budget(self):
         res = run_cli("verify", "--pairs", "10")
         assert res.returncode == 2

@@ -10,8 +10,8 @@ from singlet_lhv import (
     chsh_experiment,
     correlation,
     derive_seed,
+    joint_table,
     max_visibility,
-    nonideal_probs,
     region_scan,
     solve_params,
     sweep_gate,
@@ -19,9 +19,21 @@ from singlet_lhv import (
     verify_suite,
 )
 from singlet_lhv.experiments import MIN_VERIFY_PAIRS
+from singlet_lhv.montecarlo import binomial_se, correlation_se, zscore
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
+UNSYM = PatternKind.UNSYMMETRIZED_SINUSOIDAL
+
+#: (kind, eta, v) of the sweeps whose oracle columns and gate are tested;
+#: the unsymmetrized cells are not nonideal_probs' and its coincidence rate
+#: is 2a/pi, not eta**2.
+SWEEP_POINTS = [(SIN, 0.7, 0.8), (UNSYM, 0.7, 1.0)]
+
+
+def _sweep(kind, eta, v):
+    p = solve_params(eta, v, kind)
+    return p, theta_sweep(p, n_steps=5, pairs_per_step=50000, seed=11)
 
 
 class TestThetaSweep:
@@ -42,22 +54,28 @@ class TestThetaSweep:
         assert [r.seed for r in self.rows] == [derive_seed(11, i) for i in range(5)]
         assert self.rows[0].seed == 6976887634354325079
 
-    def test_oracle_columns_match_closed_forms(self):
-        for row in self.rows:
-            q = nonideal_probs(row.theta, 0.7, 0.8, SIN)
-            assert (row.p_pp, row.p_pm, row.p_mp, row.p_mm) == q.as_tuple()
-            assert row.corr == correlation(row.theta, 0.8, SIN)
+    @pytest.mark.parametrize("kind, eta, v", SWEEP_POINTS)
+    def test_oracle_columns_match_closed_forms(self, kind, eta, v):
+        p, rows = _sweep(kind, eta, v)
+        for row in rows:
+            t = joint_table(p, row.theta)
+            assert (row.p_pp, row.p_pm, row.p_mp, row.p_mm) == (
+                t[2, 2], t[2, 0], t[0, 2], t[0, 0],
+            )
+            assert row.corr == correlation(row.theta, v, kind)
             assert row.n_pairs == 50000
 
-    def test_sampled_columns_near_oracle(self):
-        gate = sweep_gate(self.rows, self.p)
+    @pytest.mark.parametrize("kind, eta, v", SWEEP_POINTS)
+    def test_sampled_columns_near_oracle(self, kind, eta, v):
+        p, rows = _sweep(kind, eta, v)
+        gate = sweep_gate(rows, p)
         assert gate.passed
         assert gate.max_sigma <= 5.0
         assert gate.max_abs_deviation < 0.02
-
-    def test_deterministic(self):
-        again = theta_sweep(self.p, n_steps=5, pairs_per_step=50000, seed=11)
-        assert again == self.rows
+        for row in rows:
+            for got, want in ((row.p_pp_mc, row.p_pp), (row.p_pm_mc, row.p_pm),
+                              (row.p_mp_mc, row.p_mp), (row.p_mm_mc, row.p_mm)):
+                assert zscore(got, want, binomial_se(want, row.n_pairs)) <= 5.0
 
     def test_full_visibility_endpoints_are_exact(self):
         p = solve_params(0.75, 1.0, SIN)
@@ -100,6 +118,16 @@ class TestSweepGate:
         empty[2] = dataclasses.replace(empty[2], corr_mc=empty[2].corr + 0.5)
         gate = sweep_gate(empty, self.p)
         assert (gate.passed, gate.inconclusive) == (False, False)
+
+    def test_unsymmetrized_gate_expects_its_coincidence_rate(self):
+        # n * 2a/pi coincidences, not n * eta**2: a row 4.5 sigma off passes
+        # and one 5.5 sigma off fails.
+        p, rows = _sweep(UNSYM, 0.7, 1.0)
+        row = rows[2]
+        se = correlation_se(row.corr, row.n_pairs * 2.0 * p.a / math.pi)
+        for sigmas, passed in ((4.5, True), (5.5, False)):
+            shifted = dataclasses.replace(row, corr_mc=row.corr + sigmas * se)
+            assert sweep_gate([shifted], p).passed is passed
 
     def test_zero_variance_row_must_match_exactly(self):
         p = solve_params(0.75, 1.0, SIN)
@@ -169,9 +197,6 @@ class TestRegionScan:
         # eta-major ordering
         assert [r.eta for r in rows[:5]] == [0.25] * 5
         assert [r.v for r in rows[:5]] == [0.0, 0.25, 0.5, 0.75, 1.0]
-
-    def test_deterministic(self):
-        assert region_scan(25, 25) == region_scan(25, 25)
 
     def test_contains_gap_band(self):
         rows = region_scan(101, 101)
