@@ -38,7 +38,7 @@ from .analytic import ProbQuad
 from .errors import InvalidConfig, SingletLhvError
 from .model import TWO_PI, DetectorSide, ModelParams, PatternKind, measure_many
 from .model import _pattern_height, _shifted_phase
-from .montecarlo import _check_int
+from .montecarlo import _check_finite, _check_int, _check_params
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,9 @@ def outcome_probabilities(
     """
     r_probes = _check_int("r_probes", r_probes, lo=16)
     gl_order = _check_int("gl_order", gl_order, lo=2)
-    if not (math.isfinite(angle_1) and math.isfinite(angle_2)):
-        raise InvalidConfig(f"angles must be finite, got {(angle_1, angle_2)!r}")
+    _check_params(params)
+    _check_finite("angle_1", angle_1)
+    _check_finite("angle_2", angle_2)
 
     edges = _breakpoints(angle_1, angle_2)
     x, wts = _gauss_legendre(gl_order)

@@ -27,6 +27,7 @@ from singlet_lhv.montecarlo import FIVE_SIGMA, binomial_se, zscore
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
 UNSYM = PatternKind.UNSYMMETRIZED_SINUSOIDAL
+TILE = montecarlo._TILE
 
 
 class TestSeeding:
@@ -91,6 +92,13 @@ class TestRunConfig:
                 params=self.p, angle_1=0.0, angle_2=0.0, n_pairs=10, seed=1,
                 chunk_size=0,
             )
+        good = dict(params=self.p, angle_1=0.0, angle_2=0.0, n_pairs=10, seed=1)
+        for field, value in (
+            ("angle_1", "0"), ("angle_1", None), ("angle_1", 1j), ("angle_2", "1.5"),
+            ("params", None), ("params", "sin"),
+        ):
+            with pytest.raises(InvalidConfig):
+                RunConfig(**{**good, field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("seed", 2.5),
@@ -268,18 +276,24 @@ class TestRun:
                         chunk_size=2**40)
         assert run(cfg).n_total == 10
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_run_is_the_sum_of_its_chunks(self, monkeypatch, workers):
-        # The tail chunk is shorter than the buffer its worker reuses.
+    @pytest.mark.parametrize("chunk_size", [1, 3000, 4096, TILE - 1, TILE, TILE + 1])
+    def test_run_is_the_sum_of_its_chunks(self, monkeypatch, chunk_size):
+        # Short chunks are measured in groups that fill one tile.  Two full
+        # groups and a partial one that ends in a partial chunk, shorter than
+        # the buffer its worker reuses; chunks of one pair fill 1000 of a group.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-        cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=3 * 4096 + 5,
-                        seed=9, chunk_size=4096)
-        chunks = [
-            montecarlo._chunk_tally(cfg, k, buf=np.empty((2, cfg.chunk_size)))
-            for k in range(cfg.n_chunks)
-        ]
-        assert [t.n_total for t in chunks] == [4096, 4096, 4096, 5]
-        assert run(cfg, workers=workers) == sum(chunks, Tally.zero())
+        g = max(1, TILE // chunk_size)
+        n_pairs = 1000 if chunk_size == 1 else 2 * g * chunk_size + chunk_size // 2 + 1
+        cfg = RunConfig(params=self.p, angle_1=0.3, angle_2=1.9, n_pairs=n_pairs,
+                        seed=21, chunk_size=chunk_size)
+        want = sum(
+            (montecarlo._chunk_tally(cfg, k, buf=np.empty((2, chunk_size)))
+             for k in range(cfg.n_chunks)),
+            Tally.zero(),
+        )
+        assert want.n_total == n_pairs
+        for workers in (1, 2, 3):
+            assert run(cfg, workers=workers) == want
 
     def test_tail_chunk(self):
         cfg = RunConfig(
@@ -288,6 +302,61 @@ class TestRun:
         )
         t = run(cfg)
         assert t.n_total == 100001
+
+
+@pytest.fixture
+def chunk_calls(monkeypatch):
+    """Record every _chunk_tally and measure_many call made through montecarlo."""
+    calls = {"chunk": [], "measure": 0}
+    chunk_tally, measure_many = montecarlo._chunk_tally, montecarlo.measure_many
+
+    def recording_chunk_tally(*args, **kwargs):
+        calls["chunk"].append((args, kwargs))
+        return chunk_tally(*args, **kwargs)
+
+    def recording_measure_many(*args, **kwargs):
+        calls["measure"] += 1
+        return measure_many(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_chunk_tally", recording_chunk_tally)
+    monkeypatch.setattr(montecarlo, "measure_many", recording_measure_many)
+    return calls
+
+
+class TestChunkGroups:
+    # A worker measures its short chunks in groups that fill one tile.
+    def setup_method(self):
+        self.p = solve_params(0.7, 0.8, SIN)
+
+    def test_short_chunks_are_measured_four_at_a_time(self, chunk_calls):
+        # 49 chunks of 4096 pairs: 12 groups of 4 and the tail chunk alone.
+        cfg = RunConfig(params=self.p, angle_1=0.2, angle_2=1.5, n_pairs=200_000,
+                        seed=5, chunk_size=4096)
+        assert cfg.n_chunks == 49
+        run(cfg)
+        assert [args[1] for args, _ in chunk_calls["chunk"]] == [*range(3, 48, 4), 48]
+        assert chunk_calls["measure"] == 26
+
+    def test_default_chunks_are_measured_one_at_a_time(self, chunk_calls):
+        cfg = RunConfig(params=self.p, angle_1=0.2, angle_2=1.5,
+                        n_pairs=3 * montecarlo.DEFAULT_CHUNK_SIZE + 5, seed=5)
+        run(cfg)
+        assert [args[1] for args, _ in chunk_calls["chunk"]] == [0, 1, 2, 3]
+        assert chunk_calls["measure"] == 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_calls_pass_config_and_index(self, monkeypatch, chunk_calls, workers):
+        # A tracer that wraps _chunk_tally reads (config, k) = args.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        cfg = RunConfig(params=self.p, angle_1=0.2, angle_2=1.5, n_pairs=30_000,
+                        seed=5, chunk_size=3000)
+        run(cfg, workers=workers)
+        assert chunk_calls["chunk"]
+        for args, kwargs in chunk_calls["chunk"]:
+            config, k = args
+            assert config is cfg
+            assert type(k) is int and 0 <= k < cfg.n_chunks
+            assert set(kwargs) <= {"buf", "held"}
 
 
 class TestRunMany:

@@ -96,9 +96,14 @@ class TestJointTable:
         for kind, v in ((SIN, 0.8), (UNSYM, 1.0)):
             with pytest.raises(DomainError):
                 joint_table(solve_params(0.7, v, kind), math.nan)
-        for a1, a2 in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+        for a1, a2 in (
+            (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+            ("0", 1.0), (None, 1.0), (0.0, 1j),
+        ):
             with pytest.raises(InvalidConfig):
                 outcome_probabilities(p, a1, a2)
+        with pytest.raises(InvalidConfig):
+            outcome_probabilities(None, 0.0, 1.0)
 
 
 class TestInterface:
