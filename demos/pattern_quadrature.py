@@ -10,7 +10,7 @@ to near machine precision for every pattern kind.
 
 import math
 
-from singlet_lhv import DetectorSide, PatternKind, joint_table, solve_params
+from singlet_lhv import PatternKind, joint_table, solve_params
 from singlet_lhv.quadrature import outcome_probabilities
 
 THETA = math.pi / 3.0
@@ -22,19 +22,19 @@ for name, kind, eta, v in (
     ("unsymmetrized", PatternKind.UNSYMMETRIZED_SINUSOIDAL, 0.7, 1.0),
 ):
     params = solve_params(eta, v, kind)
-    table = outcome_probabilities(params, 0.25, 0.25 + THETA)
+    # Both tables are indexed [o1 + 1, o2 + 1]; row and column 1 hold no detection.
+    table = outcome_probabilities(params, 0.25, 0.25 + THETA).table
     oracle = joint_table(params, THETA)
     print(f"--- {name}, eta = {eta}, v = {v}, theta = pi/3 ---")
     print("cell   integrated          closed form         |diff|")
     for o1 in (1, -1, 0):
         for o2 in (1, -1, 0):
-            got = table.joint(o1, o2)
+            got = table[o1 + 1, o2 + 1]
             want = oracle[o1 + 1, o2 + 1]
             print(f"{SIGNS[o1]}{SIGNS[o2]}     {got:.15f}  {want:.15f}  {abs(got - want):.2e}")
-    for side in DetectorSide:
-        plus, minus, _ = table.marginal(side)
-        print(f"station {side.value} detects {plus + minus:.12f} of pairs")
-    print(f"total mass: {table.total():.15f}\n")
+    for station, rates in ((1, table.sum(axis=1)), (2, table.sum(axis=0))):
+        print(f"station {station} detects {rates[0] + rates[2]:.12f} of pairs")
+    print(f"total mass: {table.sum():.15f}\n")
 
 # The unsymmetrized pattern is one-sided: station one carries the sinusoid
 # (detection rate 2a/pi) and never fires alone; station two is the flat band

@@ -25,7 +25,6 @@ from .analytic import (
     correlation,
     joint_table,
     line_g,
-    marginal_prob,
     max_visibility,
     nonideal_probs,
     qm_probs,
@@ -102,7 +101,6 @@ __all__ = [
     "is_feasible",
     "joint_table",
     "line_g",
-    "marginal_prob",
     "max_visibility",
     "measure",
     "measure_many",

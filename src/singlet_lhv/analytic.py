@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_unit
 from .model import (
     HALF_PI,
     SQRT2,
@@ -97,13 +97,6 @@ class RegionVerdict:
     line_feasible: bool
     chsh_violated: bool
     gap: bool
-
-
-def _check_unit(name: str, x: float, positive: bool = False) -> None:
-    """Raise DomainError unless x lies in [0, 1], or in (0, 1] if positive."""
-    if not ((0.0 < x if positive else 0.0 <= x) and x <= 1.0):
-        interval = "(0, 1]" if positive else "[0, 1]"
-        raise DomainError(f"{name} must lie in {interval}, got {x!r}")
 
 
 def reduce_theta(theta):
@@ -191,16 +184,6 @@ def joint_table(params: ModelParams, theta: float) -> np.ndarray:
     ])
 
 
-def marginal_prob(eta: float) -> float:
-    """Single-station probability of each detected outcome, eta/2.
-
-    The same value for +1 and -1 at every setting; no-detection takes the
-    remaining 1 - eta.
-    """
-    _check_unit("eta", eta)
-    return 0.5 * eta
-
-
 def correlation(theta: float, v: float, kind: PatternKind):
     """Conditional correlation E(theta) = -v * g(theta) given coincidence."""
     _check_unit("v", v)
@@ -228,16 +211,16 @@ def bell_generalized_slack(
     """Slack of the inefficiency-adjusted three-angle inequality.
 
     Returns (4/eta - 3 + E(theta_bc)) - |E(theta_ab) - E(theta_ac)| with
-    E(theta) = -v*cos(theta).  Nonnegative slack at every angle triple means
+    E(theta) = -v*cos(theta), the sinusoidal correlation(); a non-finite
+    angle raises DomainError.  Nonnegative slack at every angle triple means
     the inequality cannot certify nonlocality at this (eta, v); the slack
     first touches zero at eta = 8/9 for v = 1 with the classic triple
     (pi/3, 2*pi/3, pi/3).
     """
     _check_unit("eta", eta, positive=True)
-    _check_unit("v", v)
-    e_ab = -v * math.cos(theta_ab)
-    e_ac = -v * math.cos(theta_ac)
-    e_bc = -v * math.cos(theta_bc)
+    e_ab = correlation(theta_ab, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
+    e_ac = correlation(theta_ac, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
+    e_bc = correlation(theta_bc, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
     return (4.0 / eta - 3.0 + e_bc) - abs(e_ab - e_ac)
 
 

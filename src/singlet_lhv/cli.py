@@ -24,9 +24,10 @@ import numpy as np
 from . import __version__
 from .analytic import STANDARD_CHSH_ANGLES, ChshAngles, max_visibility
 from .errors import DegeneratePoint, InfeasibleParameters, InvalidConfig, SingletLhvError
+from .errors import _check_int
 from .experiments import chsh_experiment, region_scan, sweep_gate, theta_sweep, verify_suite
 from .model import ModelParams, PatternKind, solve_params
-from .montecarlo import DEFAULT_CHUNK_SIZE, _check_int
+from .montecarlo import DEFAULT_CHUNK_SIZE
 
 _MODEL_NAMES = {
     "sin": PatternKind.SYMMETRIZED_SINUSOIDAL,

@@ -27,7 +27,7 @@ from .analytic import (
     nonideal_probs,
     qm_probs,
 )
-from .errors import DegeneratePoint, EmptyTally, InfeasibleParameters
+from .errors import DegeneratePoint, EmptyTally, InfeasibleParameters, SingletLhvError, _check_int
 from .model import (
     SQRT2,
     TWO_PI,
@@ -42,7 +42,6 @@ from .montecarlo import (
     FIVE_SIGMA,
     RunConfig,
     Tally,
-    _check_int,
     binomial_se,
     correlation_se,
     derive_seed,
@@ -292,7 +291,17 @@ class VerifyReport:
         return sum(1 for c in self.checks if not c.passed)
 
 
-def _result(name: str, deviation: float, threshold: float, note: str = "") -> CheckResult:
+def _run_check(name: str, threshold: float, check) -> CheckResult:
+    """Run one check, which returns its deviation or (deviation, note).
+
+    A SingletLhvError it raises is its own FAIL at deviation inf, with the
+    exception in the note, so the other checks still run.
+    """
+    try:
+        out = check()
+    except SingletLhvError as exc:
+        out = (math.inf, f"raised {type(exc).__name__}: {exc}")
+    deviation, note = out if isinstance(out, tuple) else (out, "")
     return CheckResult(
         name=name,
         deviation=float(deviation),
@@ -302,14 +311,15 @@ def _result(name: str, deviation: float, threshold: float, note: str = "") -> Ch
     )
 
 
-def _exact_checks() -> list[CheckResult]:
+def _qm_limit() -> float:
     ideal = nonideal_probs(1.1, 1.0, 1.0, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    dev = max(
-        abs(x - y) for x, y in zip(ideal.as_tuple(), qm_probs(1.1).as_tuple())
-    )
-    out = [_result("nonideal-reduces-to-qm", dev, 1e-12)]
+    return max(abs(x - y) for x, y in zip(ideal.as_tuple(), qm_probs(1.1).as_tuple()))
 
-    checks = [
+
+def _frontier_constants() -> float:
+    eta_star = analytic.FULL_VISIBILITY_MAX_EFFICIENCY
+    p = solve_params(eta_star, 1.0, PatternKind.SYMMETRIZED_SINUSOIDAL)
+    return max(
         abs(max_visibility(1.0, PatternKind.SYMMETRIZED_SINUSOIDAL) - 2.0 / math.pi),
         abs(max_visibility(1.0, PatternKind.SYMMETRIZED_STAIRCASE) - 1.0 / SQRT2),
         abs(chsh_bound(analytic.CHSH_CRITICAL_EFFICIENCY) - 2.0 * SQRT2),
@@ -317,13 +327,11 @@ def _exact_checks() -> list[CheckResult]:
             analytic.BELL_CRITICAL_EFFICIENCY, 1.0,
             math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi / 3.0,
         )),
-        abs(analytic.marginal_prob(0.7) - 0.35),
-    ]
-    eta_star = analytic.FULL_VISIBILITY_MAX_EFFICIENCY
-    p = solve_params(eta_star, 1.0, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    checks.append(abs(p.a - p.b))
-    out.append(_result("frontier-constants", max(checks), 1e-12))
+        abs(p.a - p.b),
+    )
 
+
+def _solver_classifier_mismatches() -> int:
     mismatches = 0
     etas = list(np.linspace(0.0, 1.0, 21)) + [
         analytic.CHSH_CRITICAL_EFFICIENCY,
@@ -347,11 +355,10 @@ def _exact_checks() -> list[CheckResult]:
                     solvable = False
                 if solvable != flag:
                     mismatches += 1
-    out.append(_result("solver-classifier-agreement", mismatches, 0.0))
-    return out
+    return mismatches
 
 
-def _shift_invariance_check(seed: int) -> CheckResult:
+def _shift_mismatches(seed: int) -> int:
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = 512
     phi = rng.random(n) * TWO_PI
@@ -365,10 +372,10 @@ def _shift_invariance_check(seed: int) -> CheckResult:
             direct = measure_many(phi, r, alpha, side, p)
             base = measure_many(shifted, r, 0.0, side, p)
             mismatches += int(np.count_nonzero(direct != base))
-    return _result("measure-shift-invariance", mismatches, 0.0)
+    return mismatches
 
 
-def _quadrature_check() -> CheckResult:
+def _quadrature_deviation() -> float:
     """The largest cell error of the integrated table against joint_table."""
     dev = 0.0
     for kind, a1, a2 in (
@@ -378,54 +385,47 @@ def _quadrature_check() -> CheckResult:
         p = solve_params(0.7, 0.8, kind)
         table = outcome_probabilities(p, a1, a2).table
         dev = max(dev, float(np.max(np.abs(table - joint_table(p, a2 - a1)))))
-    return _result("quadrature-cells-vs-closed-form", dev, 1e-9)
+    return dev
 
 
-def _sampled_checks(sample) -> list[CheckResult]:
-    out = []
-    base = 1000
-
+def _anticorrelation(sample) -> tuple[int, str]:
     p = solve_params(0.75, 1.0, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    tally = sample(p, 1.1, 1.1, base)
-    out.append(_result(
-        "anticorrelation-exact-at-equal-angles",
-        tally.n_pp + tally.n_mm, 0.0,
-        note=f"n_pp={tally.n_pp} n_mm={tally.n_mm}",
-    ))
+    tally = sample(p, 1.1, 1.1, 1000)
+    return tally.n_pp + tally.n_mm, f"n_pp={tally.n_pp} n_mm={tally.n_mm}"
 
+
+def _wraparound_z(sample) -> float:
     p = solve_params(0.7, 0.8, PatternKind.SYMMETRIZED_STAIRCASE)
     theta = 5.0 * math.pi / 3.0
-    t_neg = sample(p, 0.0, theta, base + 2)
-    n = t_neg.n_total
+    tally = sample(p, 0.0, theta, 1002)
+    n = tally.n_total
     want = nonideal_probs(theta, p.eta, p.v, p.kind).as_tuple()
-    dev = max(zscore(k / n, q, binomial_se(q, n)) for k, q in zip(t_neg.cells, want))
-    out.append(_result("wraparound-theta-5sigma", dev, FIVE_SIGMA))
+    return max(zscore(k / n, q, binomial_se(q, n)) for k, q in zip(tally.cells, want))
 
+
+def _unsym_z(sample) -> float:
     p = solve_params(0.7, 1.0, PatternKind.UNSYMMETRIZED_SINUSOIDAL)
     theta = math.pi / 3.0
-    tally = sample(p, 0.4, 0.4 + theta, base + 3)
+    tally = sample(p, 0.4, 0.4 + theta, 1003)
     m1, m2 = unsymmetrized_marginals(p.a, p.b)
     n = tally.n_total
     est = estimate(tally)
     e_oracle = correlation(theta, p.v, p.kind)
-    dev = max(
+    return max(
         zscore(est.eta_1, m1, binomial_se(m1, n)),
         zscore(est.eta_2, m2, binomial_se(m2, n)),
         zscore(est.corr, e_oracle, correlation_se(e_oracle, tally.n_coincidences)),
     )
-    out.append(_result("unsym-marginals-and-corr-5sigma", dev, FIVE_SIGMA))
-    return out
 
 
-def _determinism_check(seed: int) -> CheckResult:
+def _determinism_diffs(seed: int) -> int:
     p = solve_params(0.7, 0.8, PatternKind.SYMMETRIZED_SINUSOIDAL)
     cfg = RunConfig(
         params=p, angle_1=0.2, angle_2=1.5,
         n_pairs=200_000, seed=derive_seed(seed, 2000), chunk_size=4096,
     )
     t1 = run(cfg)
-    diffs = int(t1 != run(cfg)) + int(t1 != run(cfg, workers=3)) + int(t1 != run(cfg, workers=7))
-    return _result("run-determinism-across-workers", diffs, 0.0)
+    return int(t1 != run(cfg)) + int(t1 != run(cfg, workers=3)) + int(t1 != run(cfg, workers=7))
 
 
 def verify_suite(
@@ -436,8 +436,9 @@ def verify_suite(
     Each check is the only one to fail on some hand-made mutant, or keeps
     one named in mutants/kill_matrix.json: exact identities at tight float
     tolerances, quadrature against closed forms at 1e-9, and Monte Carlo
-    statistics at five sigma with the given per-run budget.  Deterministic
-    for a fixed seed.
+    statistics at five sigma with the given per-run budget.  Each check is
+    one call, and a package error it raises fails that check alone.
+    Deterministic for a fixed seed.
     """
     pairs_budget = _check_int("pairs_budget", pairs_budget, lo=MIN_VERIFY_PAIRS)
     seed = _check_int("seed", seed)
@@ -449,11 +450,15 @@ def verify_suite(
         )
         return run(cfg, workers=workers)
 
-    checks = [
-        *_exact_checks(),
-        _shift_invariance_check(seed),
-        _quadrature_check(),
-        *_sampled_checks(sample),
-        _determinism_check(seed),
-    ]
-    return VerifyReport(checks=tuple(checks))
+    checks = (
+        ("nonideal-reduces-to-qm", 1e-12, _qm_limit),
+        ("frontier-constants", 1e-12, _frontier_constants),
+        ("solver-classifier-agreement", 0.0, _solver_classifier_mismatches),
+        ("measure-shift-invariance", 0.0, lambda: _shift_mismatches(seed)),
+        ("quadrature-cells-vs-closed-form", 1e-9, _quadrature_deviation),
+        ("anticorrelation-exact-at-equal-angles", 0.0, lambda: _anticorrelation(sample)),
+        ("wraparound-theta-5sigma", FIVE_SIGMA, lambda: _wraparound_z(sample)),
+        ("unsym-marginals-and-corr-5sigma", FIVE_SIGMA, lambda: _unsym_z(sample)),
+        ("run-determinism-across-workers", 0.0, lambda: _determinism_diffs(seed)),
+    )
+    return VerifyReport(checks=tuple(_run_check(*check) for check in checks))

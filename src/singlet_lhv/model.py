@@ -58,7 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePoint, DomainError, InfeasibleParameters, SingletLhvError
+from .errors import DegeneratePoint, DomainError, InfeasibleParameters, InvalidConfig
+from .errors import SingletLhvError
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -182,6 +183,12 @@ class ModelParams:
         object.__setattr__(self, "a", 0.25 * self.kind.amplitude_constant * v * eta * eta)
         object.__setattr__(self, "b", eta - 0.5 * eta * eta)
         object.__setattr__(self, "c", c)
+
+
+def _check_params(params) -> None:
+    """Raise InvalidConfig unless params is a ModelParams."""
+    if not isinstance(params, ModelParams):
+        raise InvalidConfig(f"params must be ModelParams, got {params!r}")
 
 
 def solve_params(eta: float, v: float, kind: PatternKind) -> ModelParams:

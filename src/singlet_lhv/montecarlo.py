@@ -24,7 +24,6 @@ row independently reproducible from its recorded seed alone.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -32,10 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTally, InvalidConfig
-from .model import _TILE, TWO_PI, DetectorSide, ModelParams, measure_many
-
-_MASK64 = (1 << 64) - 1
+from .errors import _MASK64, EmptyTally, InvalidConfig, _check_finite, _check_int
+from .model import _TILE, TWO_PI, DetectorSide, ModelParams, _check_params, measure_many
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -48,35 +45,6 @@ def _splitmix64(x: int) -> int:
     z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def _check_int(name: str, value, lo: int = 0) -> int:
-    """value as an int in [lo, 2**64 - 1]; numpy integers pass, bools and floats do not."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or isinstance(value, bool) or not lo <= number <= _MASK64:
-        raise InvalidConfig(
-            f"{name} must be an integer at least {lo} and below 2**64, got {value!r}"
-        )
-    return number
-
-
-def _check_finite(name: str, value) -> None:
-    """Raise InvalidConfig unless value is a finite real number."""
-    try:
-        finite = math.isfinite(value)
-    except TypeError:
-        finite = False
-    if not finite:
-        raise InvalidConfig(f"{name} must be a finite real number, got {value!r}")
-
-
-def _check_params(params) -> None:
-    """Raise InvalidConfig unless params is a ModelParams."""
-    if not isinstance(params, ModelParams):
-        raise InvalidConfig(f"params must be ModelParams, got {params!r}")
 
 
 def derive_seed(seed: int, index: int) -> int:

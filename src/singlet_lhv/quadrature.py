@@ -35,43 +35,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ProbQuad
-from .errors import InvalidConfig, SingletLhvError
+from .errors import SingletLhvError, _check_finite, _check_int
 from .model import TWO_PI, DetectorSide, ModelParams, PatternKind, measure_many
-from .model import _pattern_height, _shifted_phase
-from .montecarlo import _check_finite, _check_int, _check_params
+from .model import _check_params, _pattern_height, _shifted_phase
 
 
 @dataclass(frozen=True)
 class PatternIntegral:
-    """Joint outcome probabilities as a 3x3 table indexed by outcome sign."""
+    """Joint outcome probabilities: table[o1 + 1, o2 + 1] is P(o1, o2), as in joint_table."""
 
     table: np.ndarray
     angle_1: float
     angle_2: float
 
-    def joint(self, o1: int, o2: int) -> float:
-        """Probability of outcome pair (o1, o2), each in {-1, 0, +1}."""
-        if o1 not in (-1, 0, 1) or o2 not in (-1, 0, 1):
-            raise InvalidConfig(f"outcomes must be in {{-1, 0, 1}}, got {(o1, o2)!r}")
-        return float(self.table[o1 + 1, o2 + 1])
-
     def prob_quad(self) -> ProbQuad:
-        return ProbQuad(
-            p_pp=self.joint(1, 1),
-            p_pm=self.joint(1, -1),
-            p_mp=self.joint(-1, 1),
-            p_mm=self.joint(-1, -1),
-        )
-
-    def marginal(self, side: DetectorSide) -> tuple[float, float, float]:
-        """(P(+1), P(-1), P(0)) for one station; accepts 1 or 2 as well."""
-        try:
-            side = DetectorSide(side)
-        except ValueError:
-            raise InvalidConfig(f"side must be a detector side, got {side!r}") from None
-        axis = 1 if side is DetectorSide.ONE else 0
-        sums = self.table.sum(axis=axis)
-        return (float(sums[2]), float(sums[0]), float(sums[1]))
+        (p_mm, _, p_mp), _, (p_pm, _, p_pp) = self.table.tolist()
+        return ProbQuad(p_pp=p_pp, p_pm=p_pm, p_mp=p_mp, p_mm=p_mm)
 
     def total(self) -> float:
         return float(self.table.sum())

@@ -20,7 +20,6 @@ from singlet_lhv import (
     classify_region,
     correlation,
     line_g,
-    marginal_prob,
     max_visibility,
     nonideal_probs,
     qm_probs,
@@ -133,16 +132,6 @@ class TestNonidealProbs:
             nonideal_probs(theta, 0.5, 0.5, SIN)
         with pytest.raises(DomainError):
             nonideal_probs(np.array([0.1, theta]), 0.5, 0.5, LINE)
-
-
-def test_marginal_prob():
-    assert marginal_prob(0.7) == 0.35
-    assert marginal_prob(0.0) == 0.0
-    assert marginal_prob(1.0) == 0.5
-    with pytest.raises(DomainError):
-        marginal_prob(1.0000001)
-    with pytest.raises(DomainError):
-        marginal_prob(-0.2)
 
 
 class TestCorrelation:
@@ -339,8 +328,9 @@ ANGLES = (0.1, 0.2, 0.1)
     (bell_generalized_slack, (0.9, NAN, *ANGLES)),
     (nonideal_probs, (0.1, NAN, 0.5, SIN)),
     (nonideal_probs, (0.1, 0.5, NAN, SIN)),
-    (marginal_prob, (NAN,)),
-    (marginal_prob, (1.5,)),
+    # a non-finite angle, through correlation()
+    (bell_generalized_slack, (0.9, 1.0, NAN, 0.2, 0.1)),
+    (bell_generalized_slack, (0.9, 1.0, 0.1, 0.2, math.inf)),
     (correlation, (0.1, NAN, SIN)),
     (correlation, (0.1, 1.5, SIN)),
     (classify_region, (NAN, 0.5)),

@@ -7,7 +7,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from singlet_lhv import __version__, cli, derive_seed, montecarlo
+from singlet_lhv import (
+    InfeasibleParameters,
+    InvalidConfig,
+    SingletLhvError,
+    __version__,
+    cli,
+    derive_seed,
+    experiments,
+    montecarlo,
+)
 from singlet_lhv.experiments import CheckResult, SweepGate, VerifyReport
 from singlet_lhv.montecarlo import DEFAULT_CHUNK_SIZE
 
@@ -288,6 +297,24 @@ class TestVerify:
         monkeypatch.setattr(cli, "verify_suite", lambda **kwargs: VerifyReport((failed,)))
         assert cli.main(["verify", "--pairs", "100000"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "1 of 1 checks FAILED"
+
+    @pytest.mark.parametrize("check, target, error", [
+        ("frontier-constants", "max_visibility", InfeasibleParameters),
+        ("measure-shift-invariance", "measure_many", InvalidConfig),
+        ("quadrature-cells-vs-closed-form", "outcome_probabilities", SingletLhvError),
+    ])
+    def test_a_raising_check_is_its_own_fail(self, monkeypatch, capsys, check, target, error):
+        def raises(*args, **kwargs):
+            raise error("broken on purpose")
+
+        monkeypatch.setattr(experiments, target, raises)
+        assert cli.main(["verify", "--pairs", "100000"]) == 1
+        *lines, summary = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if not line.startswith("PASS ")]
+        assert len(lines) == 9 and len(failed) == 1
+        assert failed[0].split()[:3] == ["FAIL", check, "deviation=inf"]
+        assert failed[0].endswith(f"(raised {error.__name__}: broken on purpose)")
+        assert summary == "1 of 9 checks FAILED"
 
     def test_rejects_tiny_budget(self):
         res = run_cli("verify", "--pairs", "10")

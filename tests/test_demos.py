@@ -1,7 +1,9 @@
 """What scripts rely on: every script in demos/ runs to completion against
 src/, and the package root exports exactly the names scripts import from it.
+Also where the package's input checks live, read from its source.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -14,6 +16,7 @@ import singlet_lhv
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "singlet_lhv"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -36,7 +39,7 @@ ROOT_EXPORTS = sorted([
     "SingletLhvError", "Tally", "__version__", "bell_generalized_slack",
     "boundary", "chsh_bound", "chsh_experiment", "chsh_value",
     "classify_region", "correlation", "derive_seed", "estimate",
-    "is_feasible", "joint_table", "line_g", "marginal_prob", "max_visibility",
+    "is_feasible", "joint_table", "line_g", "max_visibility",
     "measure", "measure_many", "nonideal_probs", "qm_probs", "reduce_theta",
     "region_scan", "run", "solve_params", "substream", "sweep_gate",
     "tally_outcomes", "theta_sweep", "unsymmetrized_marginals", "verify_suite",
@@ -62,7 +65,7 @@ MODULE_NAMES = {
 
 
 def test_public_surface():
-    assert len(ROOT_EXPORTS) == 48
+    assert len(ROOT_EXPORTS) == 47
     assert sorted(singlet_lhv.__all__) == ROOT_EXPORTS
     for name in ROOT_EXPORTS:
         getattr(singlet_lhv, name)
@@ -72,7 +75,9 @@ def test_public_surface():
             assert hasattr(mod, name), f"singlet_lhv.{module}.{name}"
     integral = singlet_lhv.quadrature.PatternIntegral
     assert callable(integral.prob_quad) and callable(integral.total)
+    assert not hasattr(integral, "joint") and not hasattr(integral, "marginal")
     for module, name in [
+        ("analytic", "marginal_prob"),
         ("montecarlo", "sample_lambda"),
         ("montecarlo", "independence_check"),
         ("montecarlo", "IndependenceReport"),
@@ -81,3 +86,31 @@ def test_public_surface():
         assert not hasattr(singlet_lhv, name)
     assert not hasattr(singlet_lhv.Outcome, "numeric")
     assert not hasattr(singlet_lhv.PatternKind, "is_sinusoidal")
+
+
+# The one module that defines each input check.  errors cannot import model,
+# so the ModelParams check sits next to ModelParams.
+CHECK_HOMES = {
+    "_check_int": "errors", "_check_finite": "errors", "_check_unit": "errors",
+    "_check_params": "model",
+}
+
+
+def test_each_input_check_has_one_home():
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    for name, home in CHECK_HOMES.items():
+        homes = [
+            module for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        assert homes == [home], name
+    # The oracle shares no code with the sampler, and no module reaches
+    # into the sampler's private names.
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [alias.name for alias in node.names]
+                if module == "quadrature":
+                    assert "montecarlo" not in (node.module, *names)
+                if node.module == "montecarlo":
+                    assert not [n for n in names if n.startswith("_")], module

@@ -32,25 +32,26 @@ class TestUnsymmetrized:
         a = self.p.a
         ct = math.cos(math.pi / 3.0)
         scale = a / (2.0 * math.pi)
-        assert self.pi.joint(1, 1) == pytest.approx(scale * (1.0 - ct), abs=1e-10)
-        assert self.pi.joint(-1, -1) == pytest.approx(scale * (1.0 - ct), abs=1e-10)
-        assert self.pi.joint(1, -1) == pytest.approx(scale * (1.0 + ct), abs=1e-10)
-        assert self.pi.joint(-1, 1) == pytest.approx(scale * (1.0 + ct), abs=1e-10)
+        t = self.pi.table
+        assert t[2, 2] == pytest.approx(scale * (1.0 - ct), abs=1e-10)
+        assert t[0, 0] == pytest.approx(scale * (1.0 - ct), abs=1e-10)
+        assert t[2, 0] == pytest.approx(scale * (1.0 + ct), abs=1e-10)
+        assert t[0, 2] == pytest.approx(scale * (1.0 + ct), abs=1e-10)
 
     def test_asymmetric_marginals(self):
         a, b = self.p.a, self.p.b
-        plus1, minus1, none1 = self.pi.marginal(DetectorSide.ONE)
+        minus1, none1, plus1 = self.pi.table.sum(axis=1)
         assert plus1 == pytest.approx(a / math.pi, abs=1e-10)
         assert minus1 == pytest.approx(a / math.pi, abs=1e-10)
         assert none1 == pytest.approx(1.0 - 2.0 * a / math.pi, abs=1e-9)
-        plus2, minus2, none2 = self.pi.marginal(DetectorSide.TWO)
+        minus2, _, plus2 = self.pi.table.sum(axis=0)
         assert plus2 == pytest.approx(0.5 * b, abs=1e-10)
         assert minus2 == pytest.approx(0.5 * b, abs=1e-10)
 
     def test_station_one_never_fires_alone(self):
         # the core lies strictly inside the other station's detection band
-        assert self.pi.joint(1, 0) == 0.0
-        assert self.pi.joint(-1, 0) == 0.0
+        assert self.pi.table[2, 1] == 0.0
+        assert self.pi.table[0, 1] == 0.0
 
     def test_conditional_correlation_is_full(self):
         q = self.pi.prob_quad()
@@ -114,20 +115,6 @@ class TestInterface:
         pi = outcome_probabilities(self.p, 0.0, 0.5, r_probes=64, gl_order=8)
         assert pi.table.shape == (3, 3)
         assert (pi.angle_1, pi.angle_2) == (0.0, 0.5)
-
-    def test_marginal_accepts_plain_side_numbers(self):
-        pi = outcome_probabilities(self.p, 0.0, 0.5, r_probes=64, gl_order=8)
-        assert pi.marginal(1) == pi.marginal(DetectorSide.ONE)
-        assert pi.marginal(2) == pi.marginal(DetectorSide.TWO)
-        with pytest.raises(InvalidConfig):
-            pi.marginal(3)
-
-    def test_joint_rejects_bad_outcomes(self):
-        pi = outcome_probabilities(self.p, 0.0, 0.5, r_probes=64, gl_order=8)
-        with pytest.raises(InvalidConfig):
-            pi.joint(2, 0)
-        with pytest.raises(InvalidConfig):
-            pi.joint(0, -2)
 
     def test_knob_validation(self):
         for knob, bad in (
