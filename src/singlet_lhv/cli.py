@@ -47,24 +47,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(rows) -> str:
-    lines = [",".join(rows[0])]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row.values()))
-    return "\n".join(lines) + "\n"
-
-
 def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
-def _json_text(command: str, seed, params: ModelParams | None, rows, extra=None) -> str:
+def _render(args, seed, params: ModelParams | None, rows, extra=None) -> str:
+    """rows (dicts in field order) as CSV text or as a JSON document, by --format."""
+    if args.format == "csv":
+        lines = [",".join(rows[0])]
+        for row in rows:
+            lines.append(",".join(_fmt(v) for v in row.values()))
+        return "\n".join(lines) + "\n"
     # Every command that takes a pattern samples it in default-size chunks;
     # region takes none and samples nothing.
     meta = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "numpy": np.__version__,
         "seed": seed,
@@ -144,12 +143,7 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
     )
     gate = sweep_gate(rows, params)
-    dicts = [vars(row) for row in rows]
-    if args.format == "csv":
-        text = _csv_text(dicts)
-    else:
-        text = _json_text("sweep", args.seed, params, dicts)
-    _write(args.out, text)
+    _write(args.out, _render(args, args.seed, params, [vars(row) for row in rows]))
     if gate.passed:
         verdict, status = "pass at 5 sigma", 0
     elif gate.inconclusive:
@@ -194,10 +188,7 @@ def cmd_chsh(args) -> int:
         k: v for k, v in vars(report).items() if k not in ("angles", "settings")
     }
     rows = [{**vars(s), **totals} for s in report.settings]
-    if args.format == "csv":
-        sys.stdout.write(_csv_text(rows))
-    else:
-        sys.stdout.write(_json_text("chsh", args.seed, params, rows, extra=totals))
+    sys.stdout.write(_render(args, args.seed, params, rows, extra=totals))
     if math.isnan(report.s_mc):
         return EXIT_INCONCLUSIVE
     return 1 if report.violated_mc else 0
@@ -207,11 +198,7 @@ def cmd_region(args) -> int:
     _check_out(args.out)
     verdicts = region_scan(eta_steps=args.eta_steps, v_steps=args.vis_steps)
     rows = [vars(v) for v in verdicts]
-    if args.format == "csv":
-        text = _csv_text(rows)
-    else:
-        text = _json_text("region", None, None, rows)
-    _write(args.out, text)
+    _write(args.out, _render(args, None, None, rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

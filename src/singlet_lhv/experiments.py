@@ -74,6 +74,29 @@ class SweepRow:
     seed: int
 
 
+def _sample(params: ModelParams, settings, n_pairs: int, seed: int, workers: int | None):
+    """Sample each (angle_1, angle_2) setting with n_pairs pairs, as one run_many batch.
+
+    Setting i runs with child seed derive_seed(seed, i).  Yields
+    (config, tally, corr, corr_se) per setting, in order; corr and corr_se
+    are NaN for a setting without coincidences.
+    """
+    configs = [
+        RunConfig(
+            params=params, angle_1=a1, angle_2=a2,
+            n_pairs=n_pairs, seed=derive_seed(seed, i),
+        )
+        for i, (a1, a2) in enumerate(settings)
+    ]
+    for cfg, tally in zip(configs, run_many(configs, workers=workers)):
+        try:
+            est = estimate(tally)
+            corr, corr_se = est.corr, est.corr_se
+        except EmptyTally:
+            corr = corr_se = math.nan
+        yield cfg, tally, corr, corr_se
+
+
 def theta_sweep(
     params: ModelParams,
     n_steps: int = 25,
@@ -89,21 +112,11 @@ def theta_sweep(
     """
     n_steps = _check_int("n_steps", n_steps, lo=2)
     pairs_per_step = _check_int("pairs_per_step", pairs_per_step, lo=1)
-    configs = [
-        RunConfig(
-            params=params, angle_1=0.0, angle_2=i * math.pi / (n_steps - 1),
-            n_pairs=pairs_per_step, seed=derive_seed(seed, i),
-        )
-        for i in range(n_steps)
-    ]
+    settings = [(0.0, i * math.pi / (n_steps - 1)) for i in range(n_steps)]
     rows = []
-    for cfg, tally in zip(configs, run_many(configs, workers=workers)):
+    for cfg, tally, corr_mc, _ in _sample(params, settings, pairs_per_step, seed, workers):
         theta = cfg.angle_2
         n = tally.n_total
-        try:
-            corr_mc = estimate(tally).corr
-        except EmptyTally:
-            corr_mc = math.nan
         (p_mm, _, p_mp), _, (p_pm, _, p_pp) = joint_table(params, theta).tolist()
         rows.append(SweepRow(
             theta=theta,
@@ -211,29 +224,17 @@ def chsh_experiment(
     and se_s: too little data, never a violation.
     """
     pairs_per_setting = _check_int("pairs_per_setting", pairs_per_setting, lo=1)
-    pairs = (
-        ("ac", angles.phi_a, angles.phi_c),
-        ("ad", angles.phi_a, angles.phi_d),
-        ("bc", angles.phi_b, angles.phi_c),
-        ("bd", angles.phi_b, angles.phi_d),
-    )
-    configs = [
-        RunConfig(
-            params=params, angle_1=a1, angle_2=a2,
-            n_pairs=pairs_per_setting, seed=derive_seed(seed, i),
-        )
-        for i, (_, a1, a2) in enumerate(pairs)
+    pairs = {
+        "ac": (angles.phi_a, angles.phi_c),
+        "ad": (angles.phi_a, angles.phi_d),
+        "bc": (angles.phi_b, angles.phi_c),
+        "bd": (angles.phi_b, angles.phi_d),
+    }
+    sampled = _sample(params, pairs.values(), pairs_per_setting, seed, workers)
+    settings = [
+        ChshSetting(label, cfg.angle_1, cfg.angle_2, corr_mc, se, cfg.seed)
+        for label, (cfg, _, corr_mc, se) in zip(pairs, sampled)
     ]
-    settings = []
-    for (label, a1, a2), cfg, tally in zip(pairs, configs, run_many(configs, workers=workers)):
-        try:
-            est = estimate(tally)
-            corr_mc, se = est.corr, est.corr_se
-        except EmptyTally:
-            corr_mc = se = math.nan
-        settings.append(ChshSetting(
-            label=label, angle_1=a1, angle_2=a2, corr_mc=corr_mc, se=se, seed=cfg.seed,
-        ))
     e = {s.label: s.corr_mc for s in settings}
     s_mc = abs(e["ac"] - e["ad"]) + abs(e["bc"] + e["bd"])
     se_s = math.sqrt(sum(s.se * s.se for s in settings))
@@ -400,7 +401,8 @@ def _wraparound_z(sample) -> float:
     tally = sample(p, 0.0, theta, 1002)
     n = tally.n_total
     want = nonideal_probs(theta, p.eta, p.v, p.kind).as_tuple()
-    return max(zscore(k / n, q, binomial_se(q, n)) for k, q in zip(tally.cells, want))
+    cells = (tally.n_pp, tally.n_pm, tally.n_mp, tally.n_mm)
+    return max(zscore(k / n, q, binomial_se(q, n)) for k, q in zip(cells, want))
 
 
 def _unsym_z(sample) -> float:

@@ -440,6 +440,6 @@ def unsymmetrized_marginals(a: float, b: float) -> tuple[float, float]:
     constant band, b.  They differ unless a = pi*b/2, which is the tell that
     distinguishes this kind from the symmetrized ones in experiments.
     """
-    if a < 0.0 or b < 0.0:
-        raise DomainError("pattern heights must be nonnegative")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise DomainError(f"pattern heights must be finite and nonnegative, got {a!r} and {b!r}")
     return (2.0 * a / math.pi, b)

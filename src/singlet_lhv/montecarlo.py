@@ -118,11 +118,6 @@ class Tally:
         return cls(0, 0, 0, 0, 0, 0, 0, 0)
 
     @property
-    def cells(self) -> tuple[int, int, int, int]:
-        """Coincidence counts (n_pp, n_pm, n_mp, n_mm), the order of ProbQuad."""
-        return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
-
-    @property
     def n_coincidences(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
@@ -142,9 +137,24 @@ class Tally:
 
 
 def tally_outcomes(o1, o2) -> Tally:
-    """Fold two outcome arrays or sequences in {-1, 0, +1} into a Tally."""
-    o1 = np.asarray(o1).astype(np.int8, copy=False)
-    o2 = np.asarray(o2).astype(np.int8, copy=False)
+    """Fold two outcome arrays or sequences in {-1, 0, +1} into a Tally.
+
+    Both must be one-dimensional, of one length and of an integer dtype, and
+    hold no other value; anything else raises InvalidConfig.
+    """
+    o1, o2 = np.asarray(o1), np.asarray(o2)
+    if o1.ndim != 1 or o1.shape != o2.shape:
+        raise InvalidConfig(
+            f"outcome arrays must be one-dimensional and of one length, "
+            f"got shapes {o1.shape} and {o2.shape}"
+        )
+    for o in (o1, o2):
+        if o.dtype.kind not in "iu":
+            raise InvalidConfig(f"outcomes must have an integer dtype, got {o.dtype}")
+        if o.size and not (-1 <= o.min() and o.max() <= 1):
+            raise InvalidConfig("outcomes must lie in {-1, 0, +1}")
+    o1 = o1.astype(np.int8, copy=False)
+    o2 = o2.astype(np.int8, copy=False)
     code = o1 * np.int8(3)
     code += o2
     code += np.int8(4)

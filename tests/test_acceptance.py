@@ -57,7 +57,8 @@ def test_criterion_01_coincidence_probabilities():
                             n_pairs=n, seed=7_700_000 + 100 * k + j)
             tally = run(cfg, workers=WORKERS)
             oracle = nonideal_probs(theta, eta, v, SIN)
-            for count, want in zip(tally.cells, oracle.as_tuple()):
+            cells = (tally.n_pp, tally.n_pm, tally.n_mp, tally.n_mm)
+            for count, want in zip(cells, oracle.as_tuple()):
                 # a zero-variance cell must match exactly: its z is 0 or inf
                 z = zscore(count / n, want, binomial_se(want, n))
                 assert z <= FIVE_SIGMA

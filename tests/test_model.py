@@ -520,3 +520,11 @@ def test_unsymmetrized_marginals():
     assert m2 == 0.455
     with pytest.raises(DomainError):
         unsymmetrized_marginals(-0.1, 0.4)
+
+
+@pytest.mark.parametrize("a, b", [
+    (math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf), (0.1, -0.1),
+])
+def test_unsymmetrized_marginals_rejects_nan_and_inf(a, b):
+    with pytest.raises(DomainError):
+        unsymmetrized_marginals(a, b)

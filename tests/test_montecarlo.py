@@ -156,7 +156,7 @@ class TestTally:
         c = a + b
         assert c == Tally(11, 2, 3, 4, 5, 6, 7, 38)
         assert c.n_coincidences == 20
-        assert c.cells == (11, 2, 3, 4)
+        assert (c.n_pp, c.n_pm, c.n_mp, c.n_mm) == (11, 2, 3, 4)
         assert Tally.zero().n_total == 0
 
     def test_tally_outcomes_by_hand(self):
@@ -183,6 +183,23 @@ class TestTally:
         assert tally_outcomes(o1.astype(np.int8), o2.astype(np.int8)) == want
         assert tally_outcomes(o1.astype(np.int64), o2.astype(np.int64)) == want
         assert tally_outcomes(o1.tolist(), o2.tolist()) == want
+
+    @pytest.mark.parametrize("o1, o2", [
+        ([2], [-2]),  # would count as one n_pp
+        (np.array([86], dtype=np.int64), [-2]),  # wraps in int8 to n_none
+        ([-2], [-2]),
+        ([0.5], [0]),  # would truncate to n_none
+        ([1.0], [1]),
+        ([True], [1]),
+        (np.array([255], dtype=np.uint8), [0]),
+        ([1, 1], [1]),  # would broadcast to two pairs
+        ([1], [1, 1]),
+        ([[1, 0]], [[1, 0]]),
+        (1, 1),
+    ])
+    def test_tally_outcomes_rejects_bad_input(self, o1, o2):
+        with pytest.raises(InvalidConfig):
+            tally_outcomes(o1, o2)
 
 
 @pytest.fixture
