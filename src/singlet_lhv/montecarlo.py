@@ -5,16 +5,13 @@ are processed in fixed-size chunks; chunk k draws from the counter-based
 Philox stream keyed by (seed << 64) | k, so any chunk can be regenerated in
 isolation and the tally is bit-identical no matter how many workers execute
 the chunks or in what order they finish.  Each pair consumes exactly two
-uniforms, phi = 2*pi*u1 and r = u2, in row order.  A chunk is always drawn
-whole from its own stream.  Chunks shorter than measure_many's 16,384-event
-tile are measured in groups: a worker draws as many of its chunks as fill
-one tile into its buffer back to back, then measures the group once at each
-station and counts it once, so the fixed cost of a measure_many call and a
-fold is paid per tile, not per chunk.  Outcomes are per event and tallies
-are integer sums, so grouping changes no count.  run_many() tallies a batch
-of runs, such as a sweep's rows, from one pool: each worker takes every
-n-th chunk of every run and keeps phi and r in one buffer for the whole
-batch; the tallies are summed per run.  run() is a batch of one.
+uniforms, phi = 2*pi*u1 and r = u2, in row order.  A chunk is drawn whole
+from its own stream, measured once at each station and folded into its own
+tally, so the fixed cost of a measure_many call and a fold is paid once per
+chunk.  run_many() tallies a batch of runs, such as a sweep's rows, from
+one pool: each worker takes every n-th chunk of every run and keeps phi and
+r in one buffer for the whole batch; the tallies are summed per run.  run()
+is a batch of one.
 
 derive_seed() hands out decorrelated child seeds for higher-level drivers
 (one per sweep row or CHSH setting) through a SplitMix64 mix, keeping every
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _MASK64, EmptyTally, InvalidConfig, _check_finite, _check_int
-from .model import _TILE, TWO_PI, DetectorSide, ModelParams, _check_params, measure_many
+from .model import TWO_PI, DetectorSide, ModelParams, _check_params, measure_many
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -171,50 +168,29 @@ def tally_outcomes(o1, o2) -> Tally:
     )
 
 
-def _draw(config: RunConfig, k: int, buf: np.ndarray, held: int) -> int:
-    """Draw chunk k into buf after its first held pairs; return the pairs now held."""
+def _chunk_tally(config: RunConfig, k: int, *, buf: np.ndarray) -> Tally:
+    """Draw chunk k into buf, then measure it at both stations and fold it."""
     m = min(config.chunk_size, config.n_pairs - k * config.chunk_size)
     u = substream(config.seed, k).random((m, 2))
-    np.multiply(TWO_PI, u[:, 0], out=buf[0, held:held + m])
-    np.copyto(buf[1, held:held + m], u[:, 1])
-    return held + m
-
-
-def _chunk_tally(config: RunConfig, k: int, *, buf: np.ndarray, held: int = 0) -> Tally:
-    """Tally chunk k together with the held pairs already drawn into buf."""
-    n = _draw(config, k, buf, held)
-    phi, r = buf[0, :n], buf[1, :n]
+    phi, r = buf[0, :m], buf[1, :m]
+    np.multiply(TWO_PI, u[:, 0], out=phi)
+    np.copyto(r, u[:, 1])
+    del u  # freed before measuring, so it adds nothing to a worker's peak memory
     o1 = measure_many(phi, r, config.angle_1, DetectorSide.ONE, config.params)
     o2 = measure_many(phi, r, config.angle_2, DetectorSide.TWO, config.params)
     return tally_outcomes(o1, o2)
 
 
-def _group(config: RunConfig) -> int:
-    """Chunks measured together: as many as fill one measure_many tile, at least 1."""
-    return max(1, _TILE // config.chunk_size)
-
-
 def _tally_chunks(configs, chunk_lists, size: int) -> list[Tally]:
     """Each config's tally over its chunks in chunk_lists, with phi and r in one buffer.
 
-    A config's chunks are taken in groups of _group(config), in list order:
-    all but the last are drawn into the buffer back to back, and the last
-    one's _chunk_tally measures and folds the whole group.  The buffer holds
-    size pairs, at least the longest group of any config.
+    The buffer holds size pairs, at least the longest chunk of any config.
     """
     buf = np.empty((2, size))
-    tallies = []
-    for config, chunks in zip(configs, chunk_lists):
-        g = _group(config)
-        total = Tally.zero()
-        for i in range(0, len(chunks), g):
-            *head, last = chunks[i:i + g]
-            held = 0
-            for k in head:
-                held = _draw(config, k, buf, held)
-            total = total + _chunk_tally(config, last, buf=buf, held=held)
-        tallies.append(total)
-    return tallies
+    return [
+        sum((_chunk_tally(config, k, buf=buf) for k in chunks), Tally.zero())
+        for config, chunks in zip(configs, chunk_lists)
+    ]
 
 
 def run_many(configs: Iterable[RunConfig], workers: int | None = None) -> list[Tally]:
@@ -226,12 +202,11 @@ def run_many(configs: Iterable[RunConfig], workers: int | None = None) -> list[T
     caller's thread and no pool is made, so a batch of single-chunk runs
     never starts a thread.  Otherwise worker w of n takes chunks w, w + n,
     w + 2n, ... of each config in turn as one pool job, so the batch holds
-    one future per worker.  A worker measures its chunks of one config in
-    groups of g = max(1, 16,384 // chunk_size) consecutive chunks of its
-    share, so runs of default-size chunks keep one group per chunk.  Each
-    worker allocates one phi/r buffer that fits the batch's longest group,
-    16 * max(min(g * chunk_size, n_pairs)) bytes, and reuses it for all its
-    chunks; the buffers are freed when the batch returns.
+    one future per worker.  A worker draws, measures and folds each of its
+    chunks on its own.  Each worker allocates one phi/r buffer that fits the
+    batch's longest chunk, 16 * max(min(chunk_size, n_pairs)) bytes, and
+    reuses it for all its chunks; the buffers are freed when the batch
+    returns.
     Tallies are integer sums, so the result is identical either way.
     workers, when given, must be an integer of at least 0.
     """
@@ -239,10 +214,7 @@ def run_many(configs: Iterable[RunConfig], workers: int | None = None) -> list[T
     n_workers = 1 if workers is None else _check_int("workers", workers)
     most_chunks = max((config.n_chunks for config in configs), default=1)
     n_workers = min(n_workers or 1, most_chunks, os.cpu_count() or 1)
-    size = max(
-        (min(_group(config) * config.chunk_size, config.n_pairs) for config in configs),
-        default=0,
-    )
+    size = max((min(config.chunk_size, config.n_pairs) for config in configs), default=0)
     shares = [
         [range(w, config.n_chunks, n_workers) for config in configs]
         for w in range(n_workers)

@@ -184,7 +184,7 @@ def test_criterion_08_quadrature_oracle():
 
 
 def test_criterion_09_determinism(tmp_path):
-    args = CLI + ["sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin",
+    args = CLI + ["sweep", "--eta", "0.7", "--vis", "0.8", "--model", "sin",
                   "--steps", "5", "--pairs", "50000", "--seed", "42"]
     blobs = []
     for name in ("a.csv", "b.csv"):

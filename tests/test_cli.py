@@ -41,7 +41,7 @@ def run_cli(*args):
 
 class TestParams:
     def test_feasible_report(self):
-        res = run_cli("params", "--eta", "0.7", "--v", "0.8", "--model", "sin")
+        res = run_cli("params", "--eta", "0.7", "--vis", "0.8", "--model", "sin")
         assert res.returncode == 0
         lines = res.stdout.splitlines()
         assert "eta = 0.7" in lines
@@ -51,19 +51,19 @@ class TestParams:
         assert "feasible = true" in lines
 
     def test_infeasible_reports_and_fails(self):
-        res = run_cli("params", "--eta", "0.9", "--v", "1.0", "--model", "sin")
+        res = run_cli("params", "--eta", "0.9", "--vis", "1.0", "--model", "sin")
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
         assert "feasible = false" in res.stdout
         assert "max_visibility = 0.7780908328937106" in res.stdout
 
     def test_zero_efficiency(self):
-        res = run_cli("params", "--eta", "0", "--v", "1", "--model", "sin")
+        res = run_cli("params", "--eta", "0", "--vis", "1", "--model", "sin")
         assert res.returncode == 0
         assert "a = 0.0" in res.stdout.splitlines()
 
     def test_unknown_model(self):
-        res = run_cli("params", "--eta", "0.5", "--v", "0.5", "--model", "cosine")
+        res = run_cli("params", "--eta", "0.5", "--vis", "0.5", "--model", "cosine")
         assert res.returncode == 2
 
 
@@ -71,7 +71,7 @@ class TestSweep:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "sweep.csv"
         res = run_cli(
-            "sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin",
+            "sweep", "--eta", "0.7", "--vis", "0.8", "--model", "sin",
             "--steps", "3", "--pairs", "20000", "--seed", "11",
             "--out", str(out),
         )
@@ -90,7 +90,7 @@ class TestSweep:
     def test_json_output(self, tmp_path):
         out = tmp_path / "sweep.json"
         res = run_cli(
-            "sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin",
+            "sweep", "--eta", "0.7", "--vis", "0.8", "--model", "sin",
             "--steps", "3", "--pairs", "5000", "--seed", "11",
             "--format", "json", "--out", str(out),
         )
@@ -108,7 +108,7 @@ class TestSweep:
     def test_json_meta_records_provenance(self, tmp_path):
         out = tmp_path / "sweep.json"
         res = run_cli(
-            "sweep", "--eta", "0.7", "--v", "0.8", "--model", "line",
+            "sweep", "--eta", "0.7", "--vis", "0.8", "--model", "line",
             "--steps", "2", "--pairs", "2000", "--seed", "5",
             "--format", "json", "--out", str(out),
         )
@@ -130,7 +130,7 @@ class TestSweep:
         out = tmp_path / "x.csv"
         out.write_bytes(b"kept\n")
         res = run_cli(
-            "sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin",
+            "sweep", "--eta", "0.7", "--vis", "0.8", "--model", "sin",
             "--steps", "3", "--pairs", "0", "--out", str(out),
         )
         assert res.returncode == 2
@@ -159,7 +159,7 @@ class TestSweep:
 
     def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path):
         res = run_cli(
-            "sweep", "--eta", "0.7", "--v", "0.8", "--steps", "2",
+            "sweep", "--eta", "0.7", "--vis", "0.8", "--steps", "2",
             "--pairs", "1000", "--out", str(tmp_path / "missing" / "x.csv"),
         )
         assert res.returncode == 2
@@ -168,14 +168,14 @@ class TestSweep:
         assert res.stdout == ""
 
     def test_out_is_required(self):
-        res = run_cli("sweep", "--eta", "0.7", "--v", "0.8", "--model", "sin")
+        res = run_cli("sweep", "--eta", "0.7", "--vis", "0.8", "--model", "sin")
         assert res.returncode == 2
 
 
 class TestChsh:
     def test_csv_to_stdout(self):
         res = run_cli(
-            "chsh", "--eta", "0.7", "--v", "1.0", "--model", "sin",
+            "chsh", "--eta", "0.7", "--vis", "1.0", "--model", "sin",
             "--pairs", "20000", "--seed", "3",
         )
         assert res.returncode == 0
@@ -187,7 +187,7 @@ class TestChsh:
 
     def test_json_report(self):
         res = run_cli(
-            "chsh", "--eta", "0.9", "--v", "0.86", "--model", "line",
+            "chsh", "--eta", "0.9", "--vis", "0.86", "--model", "line",
             "--pairs", "20000", "--seed", "14", "--format", "json",
         )
         assert res.returncode == 0
@@ -208,11 +208,11 @@ class TestChsh:
 
     def test_degree_angles_match_radian_default(self):
         base = run_cli(
-            "chsh", "--eta", "0.7", "--v", "1.0", "--model", "sin",
+            "chsh", "--eta", "0.7", "--vis", "1.0", "--model", "sin",
             "--pairs", "2000", "--seed", "3", "--format", "json",
         )
         deg = run_cli(
-            "chsh", "--eta", "0.7", "--v", "1.0", "--model", "sin",
+            "chsh", "--eta", "0.7", "--vis", "1.0", "--model", "sin",
             "--pairs", "2000", "--seed", "3", "--format", "json",
             "--angles", "0,90,45,135", "--degrees",
         )
@@ -221,7 +221,7 @@ class TestChsh:
 
     def test_degrees_requires_angles(self):
         res = run_cli(
-            "chsh", "--eta", "0.7", "--v", "1.0", "--model", "sin",
+            "chsh", "--eta", "0.7", "--vis", "1.0", "--model", "sin",
             "--pairs", "2000", "--degrees",
         )
         assert res.returncode == 2
@@ -334,7 +334,7 @@ def test_no_arguments_prints_usage():
 
 
 @pytest.mark.parametrize("command", [
-    ["sweep", "--eta", "0.7", "--v", "0.8", "--steps", "25", "--pairs", "1000000"],
+    ["sweep", "--eta", "0.7", "--vis", "0.8", "--steps", "25", "--pairs", "1000000"],
     ["region", "--eta-steps", "101", "--vis-steps", "101"],
 ])
 @pytest.mark.parametrize("out", ["missing/x.csv", ".", ""])
@@ -355,9 +355,9 @@ def test_unwritable_out_fails_before_sampling(tmp_path, monkeypatch, capsys, com
 
 
 RUN_COMMANDS = {
-    "sweep": ["sweep", "--eta", "0.7", "--v", "0.8", "--steps", "3", "--pairs", "150000",
+    "sweep": ["sweep", "--eta", "0.7", "--vis", "0.8", "--steps", "3", "--pairs", "150000",
               "--seed", "4", "--out", "sweep.csv"],
-    "chsh": ["chsh", "--eta", "0.9", "--v", "0.5", "--pairs", "150000"],
+    "chsh": ["chsh", "--eta", "0.9", "--vis", "0.5", "--pairs", "150000"],
     "verify": ["verify", "--pairs", "100000", "--seed", "42"],
 }
 

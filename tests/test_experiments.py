@@ -18,7 +18,9 @@ from singlet_lhv import (
     theta_sweep,
     verify_suite,
 )
+from singlet_lhv import montecarlo
 from singlet_lhv.experiments import MIN_VERIFY_PAIRS
+from singlet_lhv.model import _TILE
 from singlet_lhv.montecarlo import binomial_se, correlation_se, zscore
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
@@ -226,3 +228,28 @@ class TestVerifySuite:
         for bad in (-1, 2**64, 1.5, True):
             with pytest.raises(InvalidConfig):
                 verify_suite(pairs_budget=MIN_VERIFY_PAIRS, seed=bad)
+
+    def test_determinism_check_splits_its_run_at_every_worker_count(self, monkeypatch):
+        # The check compares one run at 1, 3 and 7 workers.  It can tell a
+        # scheduler fault only if the run has more chunks than 7 and ends in
+        # a partial chunk; chunks of at least one measure_many tile keep its
+        # measure_many calls few.
+        calls = []
+        run_many = montecarlo.run_many
+
+        def recording_run_many(configs, workers=None):
+            configs = list(configs)
+            calls.append((configs, workers))
+            return run_many(configs, workers)
+
+        monkeypatch.setattr(montecarlo, "run_many", recording_run_many)
+        verify_suite(pairs_budget=MIN_VERIFY_PAIRS, seed=42)
+        runs = [
+            (cfg, workers) for configs, workers in calls for cfg in configs
+            if cfg.seed == derive_seed(42, 2000)
+        ]
+        assert sorted(workers or 1 for _, workers in runs) == [1, 1, 3, 7]
+        (cfg,) = {cfg for cfg, _ in runs}
+        assert cfg.chunk_size >= _TILE
+        assert cfg.n_chunks > 7
+        assert cfg.n_pairs % cfg.chunk_size != 0

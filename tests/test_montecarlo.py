@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ from singlet_lhv import (
 )
 
 from singlet_lhv import montecarlo
+from singlet_lhv.model import _TILE as TILE
 from singlet_lhv.montecarlo import FIVE_SIGMA, binomial_se, zscore
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
 UNSYM = PatternKind.UNSYMMETRIZED_SINUSOIDAL
-TILE = montecarlo._TILE
 
 
 class TestSeeding:
@@ -295,12 +296,11 @@ class TestRun:
 
     @pytest.mark.parametrize("chunk_size", [1, 3000, 4096, TILE - 1, TILE, TILE + 1])
     def test_run_is_the_sum_of_its_chunks(self, monkeypatch, chunk_size):
-        # Short chunks are measured in groups that fill one tile.  Two full
-        # groups and a partial one that ends in a partial chunk, shorter than
-        # the buffer its worker reuses; chunks of one pair fill 1000 of a group.
+        # Over two tiles of pairs, or 1000 chunks of one pair, ending in a
+        # partial chunk shorter than the buffer its worker reuses.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-        g = max(1, TILE // chunk_size)
-        n_pairs = 1000 if chunk_size == 1 else 2 * g * chunk_size + chunk_size // 2 + 1
+        per_tile = max(1, TILE // chunk_size)
+        n_pairs = 1000 if chunk_size == 1 else 2 * per_tile * chunk_size + chunk_size // 2 + 1
         cfg = RunConfig(params=self.p, angle_1=0.3, angle_2=1.9, n_pairs=n_pairs,
                         seed=21, chunk_size=chunk_size)
         want = sum(
@@ -323,43 +323,56 @@ class TestRun:
 
 @pytest.fixture
 def chunk_calls(monkeypatch):
-    """Record every _chunk_tally and measure_many call made through montecarlo."""
-    calls = {"chunk": [], "measure": 0}
+    """Record every _chunk_tally call made through montecarlo.
+
+    Each call is recorded as (args, kwargs, sizes), where sizes lists the
+    lengths of the measure_many calls made inside it on its own thread.
+    """
+    calls = []
+    local = threading.local()
     chunk_tally, measure_many = montecarlo._chunk_tally, montecarlo.measure_many
 
     def recording_chunk_tally(*args, **kwargs):
-        calls["chunk"].append((args, kwargs))
-        return chunk_tally(*args, **kwargs)
+        local.sizes = []
+        tally = chunk_tally(*args, **kwargs)
+        calls.append((args, kwargs, local.sizes))
+        return tally
 
-    def recording_measure_many(*args, **kwargs):
-        calls["measure"] += 1
-        return measure_many(*args, **kwargs)
+    def recording_measure_many(phi, *args, **kwargs):
+        local.sizes.append(phi.size)
+        return measure_many(phi, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "_chunk_tally", recording_chunk_tally)
     monkeypatch.setattr(montecarlo, "measure_many", recording_measure_many)
     return calls
 
 
-class TestChunkGroups:
-    # A worker measures its short chunks in groups that fill one tile.
+class TestChunkCalls:
+    # Each _chunk_tally call draws, measures and folds exactly one chunk.
     def setup_method(self):
         self.p = solve_params(0.7, 0.8, SIN)
 
-    def test_short_chunks_are_measured_four_at_a_time(self, chunk_calls):
-        # 49 chunks of 4096 pairs: 12 groups of 4 and the tail chunk alone.
-        cfg = RunConfig(params=self.p, angle_1=0.2, angle_2=1.5, n_pairs=200_000,
-                        seed=5, chunk_size=4096)
-        assert cfg.n_chunks == 49
-        run(cfg)
-        assert [args[1] for args, _ in chunk_calls["chunk"]] == [*range(3, 48, 4), 48]
-        assert chunk_calls["measure"] == 26
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 3000, 4096, TILE - 1, TILE, TILE + 1])
+    def test_each_call_measures_its_own_chunk(self, monkeypatch, chunk_calls, chunk_size,
+                                              workers):
+        # Two full chunks and a partial tail: a tracer sizes chunk k's span
+        # from (config, k) alone, as min(chunk_size, n_pairs - k * chunk_size).
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        n_pairs = 7 if chunk_size == 1 else 2 * chunk_size + chunk_size // 2 + 1
+        cfg = RunConfig(params=self.p, angle_1=0.2, angle_2=1.5, n_pairs=n_pairs,
+                        seed=5, chunk_size=chunk_size)
+        run(cfg, workers=workers)
+        assert sorted(args[1] for args, _, _ in chunk_calls) == list(range(cfg.n_chunks))
+        for (_, k), _, sizes in chunk_calls:
+            assert sizes == [min(chunk_size, n_pairs - k * chunk_size)] * 2
 
     def test_default_chunks_are_measured_one_at_a_time(self, chunk_calls):
         cfg = RunConfig(params=self.p, angle_1=0.2, angle_2=1.5,
                         n_pairs=3 * montecarlo.DEFAULT_CHUNK_SIZE + 5, seed=5)
         run(cfg)
-        assert [args[1] for args, _ in chunk_calls["chunk"]] == [0, 1, 2, 3]
-        assert chunk_calls["measure"] == 8
+        assert [args[1] for args, _, _ in chunk_calls] == [0, 1, 2, 3]
+        assert [len(sizes) for _, _, sizes in chunk_calls] == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunk_calls_pass_config_and_index(self, monkeypatch, chunk_calls, workers):
@@ -368,12 +381,12 @@ class TestChunkGroups:
         cfg = RunConfig(params=self.p, angle_1=0.2, angle_2=1.5, n_pairs=30_000,
                         seed=5, chunk_size=3000)
         run(cfg, workers=workers)
-        assert chunk_calls["chunk"]
-        for args, kwargs in chunk_calls["chunk"]:
+        assert chunk_calls
+        for args, kwargs, _ in chunk_calls:
             config, k = args
             assert config is cfg
             assert type(k) is int and 0 <= k < cfg.n_chunks
-            assert set(kwargs) <= {"buf", "held"}
+            assert set(kwargs) == {"buf"}
 
 
 class TestRunMany:
