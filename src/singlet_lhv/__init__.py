@@ -51,7 +51,6 @@ from .model import (
     ModelParams,
     Outcome,
     PatternKind,
-    boundary,
     is_feasible,
     measure,
     measure_many,
@@ -90,7 +89,6 @@ __all__ = [
     "SingletLhvError",
     "Tally",
     "bell_generalized_slack",
-    "boundary",
     "chsh_bound",
     "chsh_experiment",
     "chsh_value",

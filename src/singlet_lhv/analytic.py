@@ -82,6 +82,11 @@ class ChshAngles:
     phi_c: float
     phi_d: float
 
+    def settings(self) -> dict[str, tuple[float, float]]:
+        """The four (station one, station two) setting pairs, labelled ac, ad, bc, bd in order."""
+        a, b, c, d = self.phi_a, self.phi_b, self.phi_c, self.phi_d
+        return {"ac": (a, c), "ad": (a, d), "bc": (b, c), "bd": (b, d)}
+
 
 #: Settings that maximize S for both pattern families.
 STANDARD_CHSH_ANGLES = ChshAngles(0.0, HALF_PI, 0.25 * math.pi, 0.75 * math.pi)
@@ -192,10 +197,9 @@ def correlation(theta: float, v: float, kind: PatternKind):
 
 def chsh_value(v: float, kind: PatternKind, angles: ChshAngles = STANDARD_CHSH_ANGLES) -> float:
     """S = |E(c-a) - E(d-a)| + |E(c-b) + E(d-b)| for the model correlation."""
-    e_ac = correlation(angles.phi_c - angles.phi_a, v, kind)
-    e_ad = correlation(angles.phi_d - angles.phi_a, v, kind)
-    e_bc = correlation(angles.phi_c - angles.phi_b, v, kind)
-    e_bd = correlation(angles.phi_d - angles.phi_b, v, kind)
+    e_ac, e_ad, e_bc, e_bd = (
+        correlation(a2 - a1, v, kind) for a1, a2 in angles.settings().values()
+    )
     return abs(e_ac - e_ad) + abs(e_bc + e_bd)
 
 
@@ -226,8 +230,7 @@ def bell_generalized_slack(
 
 def max_visibility(eta: float, kind: PatternKind) -> float:
     """Largest visibility the kind reaches at efficiency eta, capped at 1."""
-    _check_unit("eta", eta, positive=True)
-    return min(1.0, (4.0 / eta - 2.0) / kind.amplitude_constant)
+    return min(1.0, chsh_bound(eta) / kind.amplitude_constant)
 
 
 def classify_region(eta: float, v: float) -> RegionVerdict:

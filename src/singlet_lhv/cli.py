@@ -113,20 +113,17 @@ def _applicable_bound(eta: float, kind: PatternKind) -> float:
 
 def cmd_params(args) -> int:
     kind = _MODEL_NAMES[args.model]
+    print(f"eta = {_fmt(float(args.eta))}")
+    print(f"v = {_fmt(float(args.vis))}")
+    print(f"model = {args.model}")
     try:
         params = _solve_from_args(args)
     except (InfeasibleParameters, DegeneratePoint) as exc:
-        print(f"eta = {_fmt(float(args.eta))}")
-        print(f"v = {_fmt(float(args.vis))}")
-        print(f"model = {args.model}")
         if 0.0 < args.eta <= 1.0:
             print(f"max_visibility = {_fmt(_applicable_bound(args.eta, kind))}")
         print("feasible = false")
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"eta = {_fmt(params.eta)}")
-    print(f"v = {_fmt(params.v)}")
-    print(f"model = {args.model}")
     print(f"a = {_fmt(params.a)}")
     print(f"b = {_fmt(params.b)}")
     print(f"c = {_fmt(params.c)}")

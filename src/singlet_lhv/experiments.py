@@ -224,12 +224,7 @@ def chsh_experiment(
     and se_s: too little data, never a violation.
     """
     pairs_per_setting = _check_int("pairs_per_setting", pairs_per_setting, lo=1)
-    pairs = {
-        "ac": (angles.phi_a, angles.phi_c),
-        "ad": (angles.phi_a, angles.phi_d),
-        "bc": (angles.phi_b, angles.phi_c),
-        "bd": (angles.phi_b, angles.phi_d),
-    }
+    pairs = angles.settings()
     sampled = _sample(params, pairs.values(), pairs_per_setting, seed, workers)
     settings = [
         ChshSetting(label, cfg.angle_1, cfg.angle_2, corr_mc, se, cfg.seed)

@@ -196,22 +196,6 @@ def solve_params(eta: float, v: float, kind: PatternKind) -> ModelParams:
     return ModelParams(eta, v, kind)
 
 
-def boundary(kind: PatternKind, a: float, phi: float) -> float:
-    """Core-region height w(phi') at shifted phase phi' in [0, 2*pi).
-
-    Sinusoidal kinds return a*|sin(phi')|.  The staircase kind returns a
-    two-level step, a on the middle half of each half-period and
-    a*(sqrt(2) - 1) on the outer quarters; the step uses open inner
-    intervals, so phi' = 0 and the quarter-period edges sit on the low
-    level.  Accepts scalars or arrays.
-    """
-    phi = np.asarray(phi, dtype=float)
-    w = _pattern_height(kind, a, phi.reshape(-1)).reshape(phi.shape)
-    if phi.ndim == 0:
-        return float(w)
-    return w
-
-
 def _half_phase(pp: np.ndarray) -> np.ndarray:
     """The phase within its half-period: pp on [0, pi), pp - pi on [pi, 2*pi)."""
     return pp - math.pi * (pp >= math.pi)

@@ -57,13 +57,9 @@ class PatternIntegral:
 
 
 def _breakpoints(angle_1: float, angle_2: float) -> np.ndarray:
-    pts = []
-    for alpha in (angle_1, angle_2):
-        for k in range(8):
-            pts.append(math.fmod(alpha + k * 0.25 * math.pi, TWO_PI))
-    pts = np.mod(np.array(pts, dtype=float), TWO_PI)
-    pts = np.unique(np.concatenate([pts, [0.0, TWO_PI]]))
-    return pts
+    """0, 2*pi and every angle_i + k*pi/4 taken mod 2*pi, sorted and unique."""
+    pts = np.mod(np.add.outer((angle_1, angle_2), np.arange(8) * (0.25 * math.pi)), TWO_PI)
+    return np.unique(np.concatenate([pts.ravel(), [0.0, TWO_PI]]))
 
 
 def _labels(

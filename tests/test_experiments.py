@@ -19,7 +19,7 @@ from singlet_lhv import (
     verify_suite,
 )
 from singlet_lhv import montecarlo
-from singlet_lhv.experiments import MIN_VERIFY_PAIRS
+from singlet_lhv.experiments import MIN_VERIFY_PAIRS, SweepRow
 from singlet_lhv.model import _TILE
 from singlet_lhv.montecarlo import binomial_se, correlation_se, zscore
 
@@ -137,6 +137,21 @@ class TestSweepGate:
         assert sweep_gate(rows, p).passed
         bad = [dataclasses.replace(rows[0], corr_mc=-0.9999)] + rows[1:]
         assert not sweep_gate(bad, p).passed
+
+    @pytest.mark.parametrize("kind, v", [(SIN, 0.5), (LINE, 0.5), (UNSYM, 1.0)])
+    def test_row_at_zero_efficiency_fails_without_raising(self, kind, v):
+        # An eta = 0 pattern predicts no coincidences, so a finite sampled
+        # correlation fails its row; it has no standard error to divide by.
+        p = solve_params(0.0, v, kind)
+        corr = correlation(1.0, v, kind)
+        row = SweepRow(
+            theta=1.0, p_pp_mc=0.1, p_pm_mc=0.0, p_mp_mc=0.0, p_mm_mc=0.0,
+            p_pp=0.0, p_pm=0.0, p_mp=0.0, p_mm=0.0,
+            corr_mc=1.0, corr=corr, n_pairs=10, seed=1,
+        )
+        gate = sweep_gate([row], p)
+        assert (gate.passed, gate.inconclusive) == (False, False)
+        assert gate.max_abs_deviation == abs(1.0 - corr)
 
 
 class TestChshExperiment:

@@ -1,10 +1,11 @@
-"""Golden CLI tables: `sweep`, `chsh` and `region` must write them byte for byte.
+"""Golden CLI output: `params`, `sweep`, `chsh` and `region` must print it byte for byte.
 
 tests/golden_cli.json freezes, for each case below, the exit status, the
 stdout and the table: the CSV text, or the JSON document without its meta
 block (meta holds the numpy version), dumped again as the CLI dumps it.  It
 pins every column, every float's printed form, the row order, the child
 seeds, NaN and null for a setting without coincidences, and the exit codes.
+A `params` case prints no table; it pins stdout and stderr instead.
 Regenerate the file only when a change is meant to alter a table:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
@@ -44,6 +45,12 @@ CASES = {
     "region-csv": ["region", "--eta-steps", "3", "--vis-steps", "4", "--out", "out.txt"],
     "region-json": ["region", "--eta-steps", "2", "--vis-steps", "3", "--format", "json",
                     "--out", "out.txt"],
+    "params-sin": ["params", "--eta", "0.7", "--vis", "0.8"],
+    "params-unsym": ["params", "--eta", "0.7", "--vis", "1", "--model", "unsym"],
+    "params-infeasible": ["params", "--eta", "0.9", "--vis", "1.0"],
+    "params-eta-zero": ["params", "--eta", "0", "--vis", "0.5", "--model", "line"],
+    "params-eta-above-one": ["params", "--eta", "1.5", "--vis", "0.5"],
+    "params-degenerate": ["params", "--eta", "1", "--vis", "1"],
 }
 
 
@@ -56,18 +63,20 @@ def _table(text: str, is_json: bool):
 
 
 def _run(argv: list[str]) -> dict:
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = cli.main(argv)
             path = Path(tmp, "out.txt")
             written = path.read_text(encoding="utf-8") if path.exists() else None
         finally:
             os.chdir(cwd)
     stdout = out.getvalue()
+    if argv[0] == "params":
+        return {"exit": status, "stdout": stdout, "stderr": err.getvalue()}
     is_json = "json" in argv
     if written is None:
         return {"exit": status, "table": _table(stdout, is_json)}

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singlet_lhv import (
@@ -14,7 +14,6 @@ from singlet_lhv import (
     ModelParams,
     Outcome,
     PatternKind,
-    boundary,
     classify_region,
     is_feasible,
     measure,
@@ -22,7 +21,7 @@ from singlet_lhv import (
     solve_params,
     unsymmetrized_marginals,
 )
-from singlet_lhv.model import _TILE, FRONTIER_TOL, TWO_PI
+from singlet_lhv.model import _TILE, FRONTIER_TOL, TWO_PI, _pattern_height
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -197,14 +196,16 @@ class TestModelParamsValidation:
 
 
 class TestBoundary:
+    """The core height w(phi') that _pattern_height gives on 1-d phases."""
+
     def test_sinusoidal_heights(self):
-        assert boundary(SIN, 0.2, 0.5 * math.pi) == 0.2
-        assert boundary(SIN, 0.2, 0.0) == 0.0
-        assert boundary(SIN, 0.3, math.pi / 6.0) == pytest.approx(0.15, rel=1e-15)
+        w = _pattern_height(SIN, 0.2, np.array([0.5 * math.pi, 0.0]))
+        assert w.tolist() == [0.2, 0.0]
+        w = _pattern_height(SIN, 0.3, np.array([math.pi / 6.0]))
+        assert w[0] == pytest.approx(0.15, rel=1e-15)
 
     def test_staircase_levels(self):
-        inner = boundary(LINE, 0.4, 0.5 * math.pi)
-        outer = boundary(LINE, 0.4, 0.1)
+        inner, outer = _pattern_height(LINE, 0.4, np.array([0.5 * math.pi, 0.1]))
         assert inner == 0.4
         assert outer == 0.16568542494923807
         assert outer == pytest.approx(0.4 * (math.sqrt(2.0) - 1.0), rel=1e-15)
@@ -212,23 +213,24 @@ class TestBoundary:
     def test_staircase_edges_take_low_level(self):
         # the inner step is an open interval
         low = 0.4 * (math.sqrt(2.0) - 1.0)
-        assert boundary(LINE, 0.4, 0.0) == pytest.approx(low, rel=1e-15)
-        assert boundary(LINE, 0.4, 0.25 * math.pi) == pytest.approx(low, rel=1e-15)
-        assert boundary(LINE, 0.4, math.pi) == pytest.approx(low, rel=1e-15)
+        w = _pattern_height(LINE, 0.4, np.array([0.0, 0.25 * math.pi, math.pi]))
+        np.testing.assert_allclose(w, [low] * 3, rtol=1e-15, atol=0.0)
 
     def test_half_period_symmetry(self):
         phis = np.linspace(0.0, math.pi, 101)[:-1]
-        lo = np.asarray(boundary(SIN, 0.37, phis))
-        hi = np.asarray(boundary(SIN, 0.37, phis + math.pi))
+        lo = _pattern_height(SIN, 0.37, phis)
+        hi = _pattern_height(SIN, 0.37, phis + math.pi)
         np.testing.assert_allclose(lo, hi, rtol=0.0, atol=1e-15)
         # staircase levels are flat inside each step; stay away from the
         # step edges, where adding pi can land the reduced phase on the
         # other side of the discontinuity
-        for t in (0.1, 0.7, 0.9, 1.6, 2.3, 3.0):
-            assert boundary(LINE, 0.37, t) == boundary(LINE, 0.37, t + math.pi)
+        t = np.array([0.1, 0.7, 0.9, 1.6, 2.3, 3.0])
+        np.testing.assert_array_equal(
+            _pattern_height(LINE, 0.37, t), _pattern_height(LINE, 0.37, t + math.pi)
+        )
 
     def test_array_input(self):
-        out = boundary(SIN, 1.0, np.array([0.0, 0.5 * math.pi, 1.5 * math.pi]))
+        out = _pattern_height(SIN, 1.0, np.array([0.0, 0.5 * math.pi, 1.5 * math.pi]))
         np.testing.assert_allclose(out, [0.0, 1.0, 1.0], atol=1e-15)
 
 
@@ -282,12 +284,11 @@ class TestMeasure:
 
     def test_error_band_with_partial_visibility(self):
         p = solve_params(0.7, 0.8, SIN)
-        w = boundary(SIN, p.a, 1.0)
+        w, w2 = _pattern_height(SIN, p.a, np.array([1.0, 1.0 + 0.5 * math.pi])).tolist()
         cap = p.b * p.c + (1.0 - p.c) * w
         lam = HiddenVariable(phi=1.0, r=0.5 * (w + cap))
         assert measure(lam, 0.0, DetectorSide.ONE, p) is Outcome.PLUS
         # past the quarter period the band sign flips to minus
-        w2 = boundary(SIN, p.a, 1.0 + 0.5 * math.pi)
         cap2 = p.b * p.c + (1.0 - p.c) * w2
         lam = HiddenVariable(phi=1.0 + 0.5 * math.pi, r=0.5 * (w2 + cap2))
         assert measure(lam, 0.0, DetectorSide.ONE, p) is Outcome.MINUS
@@ -340,7 +341,7 @@ _R_LABELS = ("0", "0.5", "w", "cap", "b", "0.5+b", "0.5+w", "0.5+cap")
 def _edge_r(label, phi, angle, p):
     """The r named by label at the event's shifted phase: an edge of either half."""
     pp = (phi - angle) % TWO_PI
-    w = boundary(p.kind, p.a, pp if pp < TWO_PI else 0.0)
+    w = _pattern_height(p.kind, p.a, np.array([pp if pp < TWO_PI else 0.0]))[0].item()
     cap = p.b * p.c + (1.0 - p.c) * w
     return {
         "0": 0.0, "0.5": 0.5, "w": w, "cap": cap, "b": p.b,
@@ -390,11 +391,33 @@ def _reference_batches(draw):
     return p, side, angle, phis, rs
 
 
+def _edge_examples(test):
+    """Add batches on two boundary conventions that random draws may miss, each side.
+
+    A staircase at v = 1, where the error band adds nothing, with events at
+    shifted phase pi/4, 3*pi/4 (mod pi) and r between the two step levels:
+    the inner step is open, so none is detected.  A v < 1 pattern with
+    events at shifted phase pi/2 and r in (w, cap]: the error band is + on
+    t in (0, pi/2], closed at pi/2.
+    """
+    step = ModelParams(0.75, 1.0, LINE)
+    step_phis = [k * 0.25 * math.pi for k in (1, 3, 5, 7)]
+    step_r = 0.5 * (step.a * (math.sqrt(2.0) - 1.0) + step.a)
+    band = ModelParams(0.7, 0.8, SIN)
+    cap = band.b * band.c + (1.0 - band.c) * band.a
+    band_rs = [0.5 * (band.a + cap), cap]
+    for side, offset in ((DetectorSide.ONE, 0.0), (DetectorSide.TWO, 0.5)):
+        test = example((step, side, 0.0, step_phis, [offset + step_r] * 4))(test)
+        test = example((band, side, 0.0, [0.5 * math.pi] * 2, [offset + r for r in band_rs]))(test)
+    return test
+
+
 class TestMeasureManyMatchesReference:
     """measure_many equals the event-by-event measure() for every event."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_reference_batches())
+    @_edge_examples
     def test_random_and_adversarial_events(self, batch):
         p, side, angle, phis, rs = batch
         _assert_matches_reference(phis, rs, angle, side, p)
