@@ -41,6 +41,7 @@ for name, kind, eta, v in (
 # (rate b).  Conditioned on coincidence it still gives the full -cos(theta).
 params = solve_params(0.7, 1.0, PatternKind.UNSYMMETRIZED_SINUSOIDAL)
 print(f"unsymmetrized: 2a/pi = {2 * params.a / math.pi:.12f}, b = {params.b}")
-q = outcome_probabilities(params, 0.0, THETA).prob_quad()
-corr = (q.p_pp - q.p_pm - q.p_mp + q.p_mm) / q.total()
+table = outcome_probabilities(params, 0.0, THETA).table
+(p_mm, _, p_mp), _, (p_pm, _, p_pp) = table.tolist()
+corr = (p_pp - p_pm - p_mp + p_mm) / (p_pp + p_pm + p_mp + p_mm)
 print(f"conditional correlation {corr:.12f} vs -cos(pi/3) = {-math.cos(THETA):.12f}")

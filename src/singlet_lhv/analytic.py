@@ -13,11 +13,13 @@ and visibility v the model yields
 with g = cos for sinusoidal patterns and the piecewise-linear line_g for the
 staircase pattern, single-sided marginals eta/2 per outcome, and correlation
 -v*g(theta) conditioned on coincidence.  joint_table adds the singles and
-no-detection cells, and covers the one-sided unsymmetrized kind too.
+no-detection cells, and covers the one-sided unsymmetrized kind too, whose
+cells are the same formula at its coincidence rate 2a/pi with v = 1.
 
 Frontier algebra: patterns exist iff K*v <= 4/eta - 2 with K = pi
 (sinusoidal) or 2*sqrt(2) (staircase).  The staircase frontier coincides
-with saturation of the inefficiency-adjusted CHSH bound S <= 4/eta - 2, so
+with saturation of the inefficiency-adjusted CHSH bound S <= 4/eta - 2,
+which model.chsh_bound writes once and this module re-exports, so
 the plane splits into a sinusoidal-feasible region, a strip covered only by
 the staircase, a gap that is classical yet unreachable by either kind, and
 the CHSH-violating region no local model can enter.
@@ -34,9 +36,9 @@ from .errors import DomainError, _check_unit
 from .model import (
     HALF_PI,
     SQRT2,
-    TWO_PI,
     ModelParams,
     PatternKind,
+    chsh_bound,
     is_feasible,
     unsymmetrized_marginals,
 )
@@ -86,6 +88,11 @@ class ChshAngles:
         """The four (station one, station two) setting pairs, labelled ac, ad, bc, bd in order."""
         a, b, c, d = self.phi_a, self.phi_b, self.phi_c, self.phi_d
         return {"ac": (a, c), "ad": (a, d), "bc": (b, c), "bd": (b, d)}
+
+
+def chsh_s(e_ac: float, e_ad: float, e_bc: float, e_bd: float) -> float:
+    """S = |E_ac - E_ad| + |E_bc + E_bd| from the correlations at the settings() pairs."""
+    return abs(e_ac - e_ad) + abs(e_bc + e_bd)
 
 
 #: Settings that maximize S for both pattern families.
@@ -145,6 +152,19 @@ def _correlation_shape(theta, kind: PatternKind):
     return np.cos(np.asarray(theta, dtype=float))
 
 
+def _coincidence_cells(theta, v: float, kind: PatternKind, rate: float):
+    """(p_pp, p_pm, p_mp, p_mm) = rate * (1 -/+ v*g(theta)) / 4.
+
+    rate is the coincidence probability: eta**2 for the symmetrized kinds,
+    2a/pi for the unsymmetrized one.
+    """
+    g = _correlation_shape(theta, kind)
+    scale = 0.25 * rate
+    anti = scale * (1.0 - v * g)
+    corr = scale * (1.0 + v * g)
+    return anti, corr, corr, anti
+
+
 def nonideal_probs(theta: float, eta: float, v: float, kind: PatternKind) -> ProbQuad:
     """Coincidence cells at efficiency eta and visibility v.
 
@@ -156,11 +176,7 @@ def nonideal_probs(theta: float, eta: float, v: float, kind: PatternKind) -> Pro
         raise DomainError("nonideal_probs covers the symmetrized kinds; use joint_table for unsym")
     _check_unit("eta", eta)
     _check_unit("v", v)
-    g = _correlation_shape(theta, kind)
-    scale = 0.25 * eta * eta
-    anti = scale * (1.0 - v * g)
-    corr = scale * (1.0 + v * g)
-    return ProbQuad(p_pp=anti, p_pm=corr, p_mp=corr, p_mm=anti)
+    return ProbQuad(*_coincidence_cells(theta, v, kind, eta * eta))
 
 
 def joint_table(params: ModelParams, theta: float) -> np.ndarray:
@@ -171,17 +187,14 @@ def joint_table(params: ModelParams, theta: float) -> np.ndarray:
     station one, which never fires alone, and at rate b on station two.
     """
     if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
-        g = _correlation_shape(theta, params.kind)
-        scale = params.a / TWO_PI
-        p_pp = p_mm = scale * (1.0 - g)
-        p_pm = p_mp = scale * (1.0 + g)
-        rate_1, rate_2 = unsymmetrized_marginals(params.a, params.b)
-        single_1, single_2, none = 0.0, 0.5 * (rate_2 - rate_1), 1.0 - rate_2
+        rate, rate_2 = unsymmetrized_marginals(params.a, params.b)
+        single_1, single_2, none = 0.0, 0.5 * (rate_2 - rate), 1.0 - rate_2
     else:
         eta = params.eta
-        p_pp, p_pm, p_mp, p_mm = nonideal_probs(theta, eta, params.v, params.kind).as_tuple()
+        rate = eta * eta
         single_1 = single_2 = 0.5 * eta * (1.0 - eta)
         none = (1.0 - eta) ** 2
+    p_pp, p_pm, p_mp, p_mm = _coincidence_cells(theta, params.v, params.kind, rate)
     return np.array([
         [p_mm, single_1, p_mp],
         [single_2, none, single_2],
@@ -197,16 +210,7 @@ def correlation(theta: float, v: float, kind: PatternKind):
 
 def chsh_value(v: float, kind: PatternKind, angles: ChshAngles = STANDARD_CHSH_ANGLES) -> float:
     """S = |E(c-a) - E(d-a)| + |E(c-b) + E(d-b)| for the model correlation."""
-    e_ac, e_ad, e_bc, e_bd = (
-        correlation(a2 - a1, v, kind) for a1, a2 in angles.settings().values()
-    )
-    return abs(e_ac - e_ad) + abs(e_bc + e_bd)
-
-
-def chsh_bound(eta: float) -> float:
-    """Largest S any local model must respect at efficiency eta, 4/eta - 2."""
-    _check_unit("eta", eta, positive=True)
-    return 4.0 / eta - 2.0
+    return chsh_s(*(correlation(a2 - a1, v, kind) for a1, a2 in angles.settings().values()))
 
 
 def bell_generalized_slack(
@@ -221,11 +225,11 @@ def bell_generalized_slack(
     first touches zero at eta = 8/9 for v = 1 with the classic triple
     (pi/3, 2*pi/3, pi/3).
     """
-    _check_unit("eta", eta, positive=True)
+    limit = chsh_bound(eta) - 1.0
     e_ab = correlation(theta_ab, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
     e_ac = correlation(theta_ac, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
     e_bc = correlation(theta_bc, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    return (4.0 / eta - 3.0 + e_bc) - abs(e_ab - e_ac)
+    return (limit + e_bc) - abs(e_ab - e_ac)
 
 
 def max_visibility(eta: float, kind: PatternKind) -> float:

@@ -19,6 +19,7 @@ from .analytic import (
     ChshAngles,
     RegionVerdict,
     chsh_bound,
+    chsh_s,
     chsh_value,
     classify_region,
     correlation,
@@ -137,7 +138,8 @@ class SweepGate:
 
     passed means every row was tested and within five sigma.  inconclusive
     means no tested row failed but some row had no coincidences, so its
-    correlation could not be tested: too little data, not a failed gate.
+    correlation could not be tested, or there were no rows at all: too
+    little data, not a failed gate.
     """
 
     max_abs_deviation: float
@@ -153,13 +155,14 @@ def sweep_gate(rows: list[SweepRow], params: ModelParams) -> SweepGate:
     expected coincidence count: n * eta**2, or n * 2a/pi for the
     unsymmetrized kind, whose station one never fires alone.  Rows whose
     predicted error is zero (full visibility at theta = 0 or pi) must match
-    exactly.  A row without coincidences (corr_mc is NaN) is untested.
+    exactly.  A row without coincidences (corr_mc is NaN) is untested, and
+    an empty sweep tests nothing.
     """
     unsym = params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL
     worst_dev = 0.0
     worst_sigma = 0.0
     ok = True
-    untested = False
+    untested = not rows
     for row in rows:
         if math.isnan(row.corr_mc):
             untested = True
@@ -231,7 +234,7 @@ def chsh_experiment(
         for label, (cfg, _, corr_mc, se) in zip(pairs, sampled)
     ]
     e = {s.label: s.corr_mc for s in settings}
-    s_mc = abs(e["ac"] - e["ad"]) + abs(e["bc"] + e["bd"])
+    s_mc = chsh_s(e["ac"], e["ad"], e["bc"], e["bd"])
     se_s = math.sqrt(sum(s.se * s.se for s in settings))
     bound = chsh_bound(params.eta)
     return ChshReport(
@@ -395,8 +398,9 @@ def _wraparound_z(sample) -> float:
     theta = 5.0 * math.pi / 3.0
     tally = sample(p, 0.0, theta, 1002)
     n = tally.n_total
-    want = nonideal_probs(theta, p.eta, p.v, p.kind).as_tuple()
+    (p_mm, _, p_mp), _, (p_pm, _, p_pp) = joint_table(p, theta).tolist()
     cells = (tally.n_pp, tally.n_pm, tally.n_mp, tally.n_mm)
+    want = (p_pp, p_pm, p_mp, p_mm)
     return max(zscore(k / n, q, binomial_se(q, n)) for k, q in zip(cells, want))
 
 

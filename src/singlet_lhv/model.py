@@ -37,7 +37,8 @@ and the unsymmetrized kind, which has no error band, takes c = 0 and needs
 v = 1.  The construction fits inside the unit square iff a <= b <= 1/2, and
 since b - a = eta**2/4 * (4/eta - 2 - K*v) that is the frontier
 K*v <= 4/eta - 2.  For the staircase this is the efficiency-adjusted CHSH
-bound of Garg and Mermin.  The ideal corner eta = v = 1 makes c an
+bound of Garg and Mermin, and chsh_bound is the one place 4/eta - 2 is
+written; analytic re-exports it.  The ideal corner eta = v = 1 makes c an
 indeterminate 0/0 and is rejected separately.  One private rule,
 _infeasibility, makes every one of these decisions for is_feasible,
 ModelParams and solve_params alike.
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePoint, DomainError, InfeasibleParameters, InvalidConfig
-from .errors import SingletLhvError
+from .errors import SingletLhvError, _check_unit
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -120,6 +121,15 @@ class HiddenVariable:
             raise DomainError(f"r must lie in [0, 1), got {self.r!r}")
 
 
+def chsh_bound(eta: float) -> float:
+    """Largest S any local model must respect at efficiency eta, 4/eta - 2.
+
+    It is also the cap on K*v in every pattern frontier.
+    """
+    _check_unit("eta", eta, positive=True)
+    return 4.0 / eta - 2.0
+
+
 def _infeasibility(eta: float, v: float, kind: PatternKind) -> SingletLhvError | None:
     """The error a pattern at (eta, v, kind) raises, or None when it exists.
 
@@ -139,10 +149,11 @@ def _infeasibility(eta: float, v: float, kind: PatternKind) -> SingletLhvError |
         )
     if symmetrized and eta == 1.0 and v == 1.0:
         return DegeneratePoint("eta = v = 1 leaves the error-band weight undefined")
-    if eta > 0.0 and not kind.amplitude_constant * v <= 4.0 / eta - 2.0 + FRONTIER_TOL:
+    bound = chsh_bound(eta) if eta > 0.0 else math.inf
+    if not kind.amplitude_constant * v <= bound + FRONTIER_TOL:
         return InfeasibleParameters(
             f"(eta, v) = ({eta!r}, {v!r}) violates "
-            f"{kind.amplitude_constant!r} * v <= 4/eta - 2 = {4.0 / eta - 2.0!r}"
+            f"{kind.amplitude_constant!r} * v <= 4/eta - 2 = {bound!r}"
         )
     return None
 

@@ -1,6 +1,7 @@
 """What scripts rely on: every script in demos/ runs to completion against
 src/, and the package root exports exactly the names scripts import from it.
-Also where the package's input checks live, read from its source.
+Also where the package's input checks and shared closed forms live, read
+from its source.
 """
 
 import ast
@@ -17,6 +18,7 @@ import singlet_lhv
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PACKAGE = ROOT / "src" / "singlet_lhv"
+TREES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -55,7 +57,7 @@ MODULE_NAMES = {
         "CheckResult", "ChshReport", "ChshSetting", "SweepGate", "SweepRow",
         "VerifyReport",
     ],
-    "model": ["measure_many", "ModelParams", "PatternKind", "solve_params"],
+    "model": ["measure_many", "ModelParams", "PatternKind", "solve_params", "chsh_bound"],
     "montecarlo": [
         "run", "RunConfig", "Tally", "estimate", "tally_outcomes", "substream",
         "derive_seed", "DEFAULT_CHUNK_SIZE", "Estimates",
@@ -97,17 +99,20 @@ CHECK_HOMES = {
 }
 
 
+def _definitions(name):
+    """(module, node) for every function the package defines under name."""
+    return [
+        (module, node) for module, tree in TREES.items() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+
+
 def test_each_input_check_has_one_home():
-    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
     for name, home in CHECK_HOMES.items():
-        homes = [
-            module for module, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == name
-        ]
-        assert homes == [home], name
+        assert [module for module, _ in _definitions(name)] == [home], name
     # The oracle shares no code with the sampler, and no module reaches
     # into the sampler's private names.
-    for module, tree in trees.items():
+    for module, tree in TREES.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 names = [alias.name for alias in node.names]
@@ -115,3 +120,22 @@ def test_each_input_check_has_one_home():
                     assert "montecarlo" not in (node.module, *names)
                 if node.module == "montecarlo":
                     assert not [n for n in names if n.startswith("_")], module
+
+
+# The one module that defines each closed form more than one caller needs:
+# the bound 4/eta - 2 sits in model, below analytic, so that the feasibility
+# rule can use it too.
+RULE_HOMES = {"chsh_bound": "model", "chsh_s": "analytic", "_coincidence_cells": "analytic"}
+
+
+def test_each_closed_form_has_one_home():
+    for name, home in RULE_HOMES.items():
+        assert [module for module, _ in _definitions(name)] == [home], name
+    assert singlet_lhv.analytic.chsh_bound is singlet_lhv.model.chsh_bound
+    assert singlet_lhv.chsh_bound is singlet_lhv.model.chsh_bound
+    assert sum(path.read_text().count("4.0 / eta") for path in PACKAGE.glob("*.py")) == 1
+    # joint_table takes its cells from the one cell formula.
+    [(_, table)] = _definitions("joint_table")
+    names = {node.id for node in ast.walk(table) if isinstance(node, ast.Name)}
+    assert "_coincidence_cells" in names
+    assert not names & {"ProbQuad", "nonideal_probs"}

@@ -38,13 +38,16 @@ def _sweep(kind, eta, v):
     return p, theta_sweep(p, n_steps=5, pairs_per_step=50000, seed=11)
 
 
-class TestThetaSweep:
-    def setup_method(self):
-        self.p = solve_params(0.7, 0.8, SIN)
-        self.rows = theta_sweep(self.p, n_steps=5, pairs_per_step=50000, seed=11)
+@pytest.fixture(scope="module")
+def sin_sweep():
+    """The (SIN, 0.7, 0.8) sweep, sampled once for the tests that read it."""
+    return _sweep(SIN, 0.7, 0.8)
 
-    def test_grid_is_exact(self):
-        assert [r.theta for r in self.rows] == [
+
+class TestThetaSweep:
+    def test_grid_is_exact(self, sin_sweep):
+        _, rows = sin_sweep
+        assert [r.theta for r in rows] == [
             0.0,
             0.7853981633974483,
             1.5707963267948966,
@@ -52,9 +55,10 @@ class TestThetaSweep:
             3.141592653589793,
         ]
 
-    def test_child_seeds(self):
-        assert [r.seed for r in self.rows] == [derive_seed(11, i) for i in range(5)]
-        assert self.rows[0].seed == 6976887634354325079
+    def test_child_seeds(self, sin_sweep):
+        _, rows = sin_sweep
+        assert [r.seed for r in rows] == [derive_seed(11, i) for i in range(5)]
+        assert rows[0].seed == 6976887634354325079
 
     @pytest.mark.parametrize("kind, eta, v", SWEEP_POINTS)
     def test_oracle_columns_match_closed_forms(self, kind, eta, v):
@@ -88,37 +92,37 @@ class TestThetaSweep:
         assert rows[2].corr_mc == 1.0
 
     def test_validation(self):
+        p = solve_params(0.7, 0.8, SIN)
         with pytest.raises(InvalidConfig):
-            theta_sweep(self.p, n_steps=1)
+            theta_sweep(p, n_steps=1)
         with pytest.raises(InvalidConfig):
-            theta_sweep(self.p, n_steps=5, pairs_per_step=0)
+            theta_sweep(p, n_steps=5, pairs_per_step=0)
         for bad in (2.5, 5.0, True):
             with pytest.raises(InvalidConfig):
-                theta_sweep(self.p, n_steps=bad, pairs_per_step=10)
+                theta_sweep(p, n_steps=bad, pairs_per_step=10)
             with pytest.raises(InvalidConfig):
-                theta_sweep(self.p, n_steps=2, pairs_per_step=bad)
+                theta_sweep(p, n_steps=2, pairs_per_step=bad)
 
 
 class TestSweepGate:
-    def setup_method(self):
-        self.p = solve_params(0.7, 0.8, SIN)
-        self.rows = theta_sweep(self.p, n_steps=5, pairs_per_step=50000, seed=11)
-
-    def test_flags_shifted_correlation(self):
-        bad = list(self.rows)
+    def test_flags_shifted_correlation(self, sin_sweep):
+        p, rows = sin_sweep
+        bad = list(rows)
         bad[2] = dataclasses.replace(bad[2], corr_mc=bad[2].corr + 0.5)
-        gate = sweep_gate(bad, self.p)
+        gate = sweep_gate(bad, p)
         assert not gate.passed
         assert gate.max_sigma > 5.0
 
-    def test_rows_without_coincidences_are_inconclusive(self):
-        empty = [dataclasses.replace(self.rows[0], corr_mc=math.nan)] + self.rows[1:]
-        gate = sweep_gate(empty, self.p)
-        assert (gate.passed, gate.inconclusive) == (False, True)
-        assert (sweep_gate(self.rows, self.p).inconclusive) is False
+    def test_rows_without_coincidences_are_inconclusive(self, sin_sweep):
+        p, rows = sin_sweep
+        empty = [dataclasses.replace(rows[0], corr_mc=math.nan)] + rows[1:]
+        for untested in (empty, []):
+            gate = sweep_gate(untested, p)
+            assert (gate.passed, gate.inconclusive) == (False, True)
+        assert (sweep_gate(rows, p).inconclusive) is False
         # a failed row outweighs an untested one
         empty[2] = dataclasses.replace(empty[2], corr_mc=empty[2].corr + 0.5)
-        gate = sweep_gate(empty, self.p)
+        gate = sweep_gate(empty, p)
         assert (gate.passed, gate.inconclusive) == (False, False)
 
     def test_unsymmetrized_gate_expects_its_coincidence_rate(self):
