@@ -214,21 +214,26 @@ def chsh_value(v: float, kind: PatternKind, angles: ChshAngles = STANDARD_CHSH_A
 
 
 def bell_generalized_slack(
-    eta: float, v: float, theta_ab: float, theta_ac: float, theta_bc: float
+    eta: float,
+    v: float,
+    theta_ab: float,
+    theta_ac: float,
+    theta_bc: float,
+    kind: PatternKind = PatternKind.SYMMETRIZED_SINUSOIDAL,
 ) -> float:
     """Slack of the inefficiency-adjusted three-angle inequality.
 
     Returns (4/eta - 3 + E(theta_bc)) - |E(theta_ab) - E(theta_ac)| with
-    E(theta) = -v*cos(theta), the sinusoidal correlation(); a non-finite
-    angle raises DomainError.  Nonnegative slack at every angle triple means
-    the inequality cannot certify nonlocality at this (eta, v); the slack
-    first touches zero at eta = 8/9 for v = 1 with the classic triple
-    (pi/3, 2*pi/3, pi/3).
+    E = correlation(theta, v, kind), by default the sinusoidal -v*cos(theta);
+    a non-finite angle raises DomainError.  Nonnegative slack at every angle
+    triple means the inequality cannot certify nonlocality at this (eta, v);
+    for the sinusoidal kind the slack first touches zero at eta = 8/9 for
+    v = 1 with the classic triple (pi/3, 2*pi/3, pi/3).
     """
     limit = chsh_bound(eta) - 1.0
-    e_ab = correlation(theta_ab, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    e_ac = correlation(theta_ac, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    e_bc = correlation(theta_bc, v, PatternKind.SYMMETRIZED_SINUSOIDAL)
+    e_ab = correlation(theta_ab, v, kind)
+    e_ac = correlation(theta_ac, v, kind)
+    e_bc = correlation(theta_bc, v, kind)
     return (limit + e_bc) - abs(e_ab - e_ac)
 
 

@@ -243,8 +243,9 @@ def _add_run_flags(p: argparse.ArgumentParser, pairs_default: int) -> None:
                    help=f"pairs per run (default: {pairs_default})")
     p.add_argument("--seed", type=int, default=42, help="master seed (default: 42)")
     p.add_argument("--workers", type=_worker_count, default=None,
-                   help="sampling threads; results do not depend on it "
-                        "(default: serial)")
+                   help="sampling workers: the caller's thread plus N - 1 pool "
+                        "threads, dealt the chunks of all runs in turn; results "
+                        "do not depend on it (default: serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,10 +8,12 @@ the chunks or in what order they finish.  Each pair consumes exactly two
 uniforms, phi = 2*pi*u1 and r = u2, in row order.  A chunk is drawn whole
 from its own stream, measured once at each station and folded into its own
 tally, so the fixed cost of a measure_many call and a fold is paid once per
-chunk.  run_many() tallies a batch of runs, such as a sweep's rows, from
-one pool: each worker takes every n-th chunk of every run and keeps phi and
-r in one buffer for the whole batch; the tallies are summed per run.  run()
-is a batch of one.
+chunk.  run_many() tallies a batch of runs, such as a sweep's rows, as one
+list of (run, chunk) jobs: each of n workers takes every n-th job of the
+batch, so single-chunk rows are dealt out like the chunks of one long run,
+and keeps phi and r in one buffer for the whole batch.  The caller's thread
+is one of the workers, and a pool of n - 1 threads runs the others; the
+tallies are summed per run.  run() is a batch of one.
 
 derive_seed() hands out decorrelated child seeds for higher-level drivers
 (one per sweep row or CHSH setting) through a SplitMix64 mix, keeping every
@@ -133,6 +135,20 @@ class Tally:
         )
 
 
+#: Fold code 256*o1 + o2 + 257 of each outcome pair, in the order 3*o1 + o2 + 4.
+_PAIR_CODES = np.array([256 * o1 + o2 + 257 for o1 in (-1, 0, 1) for o2 in (-1, 0, 1)])
+
+
+def _as_int8(o: np.ndarray) -> np.ndarray:
+    """o as int8; InvalidConfig for a non-integer dtype or a value int8 cannot hold."""
+    if o.dtype.kind not in "iu":
+        raise InvalidConfig(f"outcomes must have an integer dtype, got {o.dtype}")
+    narrow = o.astype(np.int8, copy=False)
+    if narrow is not o and not np.array_equal(narrow, o):
+        raise InvalidConfig("outcomes must lie in {-1, 0, +1}")
+    return narrow
+
+
 def tally_outcomes(o1, o2) -> Tally:
     """Fold two outcome arrays or sequences in {-1, 0, +1} into a Tally.
 
@@ -145,17 +161,16 @@ def tally_outcomes(o1, o2) -> Tally:
             f"outcome arrays must be one-dimensional and of one length, "
             f"got shapes {o1.shape} and {o2.shape}"
         )
-    for o in (o1, o2):
-        if o.dtype.kind not in "iu":
-            raise InvalidConfig(f"outcomes must have an integer dtype, got {o.dtype}")
-        if o.size and not (-1 <= o.min() and o.max() <= 1):
-            raise InvalidConfig("outcomes must lie in {-1, 0, +1}")
-    o1 = o1.astype(np.int8, copy=False)
-    o2 = o2.astype(np.int8, copy=False)
-    code = o1 * np.int8(3)
+    o1, o2 = _as_int8(o1), _as_int8(o2)
+    # 256*o1 + o2 + 257 is one-to-one on int8 pairs even where it wraps in
+    # int16, so the fold is also the range check: a pair holding any other
+    # value lands outside the nine pair codes.
+    code = o1 * np.int16(256)
     code += o2
-    code += np.int8(4)
-    counts = np.bincount(code, minlength=9)
+    code += np.int16(257)
+    counts = np.bincount(code.view(np.uint16), minlength=_PAIR_CODES[-1] + 1)[_PAIR_CODES]
+    if counts.sum() != o1.size:
+        raise InvalidConfig("outcomes must lie in {-1, 0, +1}")
     return Tally(
         n_pp=int(counts[8]),
         n_pm=int(counts[6]),
@@ -181,50 +196,48 @@ def _chunk_tally(config: RunConfig, k: int, *, buf: np.ndarray) -> Tally:
     return tally_outcomes(o1, o2)
 
 
-def _tally_chunks(configs, chunk_lists, size: int) -> list[Tally]:
-    """Each config's tally over its chunks in chunk_lists, with phi and r in one buffer.
+def _tally_chunks(configs, jobs, size: int) -> list[Tally]:
+    """Each config's tally over its (config index, chunk) jobs, with phi and r in one buffer.
 
     The buffer holds size pairs, at least the longest chunk of any config.
     """
     buf = np.empty((2, size))
-    return [
-        sum((_chunk_tally(config, k, buf=buf) for k in chunks), Tally.zero())
-        for config, chunks in zip(configs, chunk_lists)
-    ]
+    tallies = [Tally.zero()] * len(configs)
+    for i, k in jobs:
+        tallies[i] += _chunk_tally(configs[i], k, buf=buf)
+    return tallies
 
 
 def run_many(configs: Iterable[RunConfig], workers: int | None = None) -> list[Tally]:
     """Simulate each configured run and return its tally, in config order.
 
-    Each tally equals run(config), and the batch shares one scheduler.
-    Chunks go to min(workers, the batch's largest n_chunks, cpu count)
-    workers; when that is 1 (or workers is None) they run serially on the
-    caller's thread and no pool is made, so a batch of single-chunk runs
-    never starts a thread.  Otherwise worker w of n takes chunks w, w + n,
-    w + 2n, ... of each config in turn as one pool job, so the batch holds
-    one future per worker.  A worker draws, measures and folds each of its
-    chunks on its own.  Each worker allocates one phi/r buffer that fits the
-    batch's longest chunk, 16 * max(min(chunk_size, n_pairs)) bytes, and
-    reuses it for all its chunks; the buffers are freed when the batch
-    returns.
+    Each tally equals run(config), and the batch shares one scheduler.  The
+    batch's chunks form one job list, (config index, chunk) in config order,
+    and go to n = min(workers, the number of jobs, cpu count) workers:
+    worker w takes jobs w, w + n, w + 2n, ...  For a single run that is
+    chunks k with k % n == w; a sweep of single-chunk rows deals its rows
+    out the same way.  The caller's thread runs worker 0's share itself, and
+    a pool of n - 1 threads runs the rest, each as one job, so a batch holds
+    n - 1 futures; when n is 1 (or workers is None) no pool is made.  A
+    worker draws, measures and folds each of its chunks on its own.  Each
+    worker allocates one phi/r buffer that fits the batch's longest chunk,
+    16 * max(min(chunk_size, n_pairs)) bytes, and reuses it for all its
+    chunks; the buffers are freed when the batch returns.
     Tallies are integer sums, so the result is identical either way.
     workers, when given, must be an integer of at least 0.
     """
     configs = list(configs)
     n_workers = 1 if workers is None else _check_int("workers", workers)
-    most_chunks = max((config.n_chunks for config in configs), default=1)
-    n_workers = min(n_workers or 1, most_chunks, os.cpu_count() or 1)
+    jobs = [(i, k) for i, config in enumerate(configs) for k in range(config.n_chunks)]
+    n_workers = min(n_workers or 1, len(jobs) or 1, os.cpu_count() or 1)
     size = max((min(config.chunk_size, config.n_pairs) for config in configs), default=0)
-    shares = [
-        [range(w, config.n_chunks, n_workers) for config in configs]
-        for w in range(n_workers)
-    ]
     if n_workers <= 1:
-        return _tally_chunks(configs, shares[0], size)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        per_worker = list(
-            pool.map(_tally_chunks, [configs] * n_workers, shares, [size] * n_workers)
-        )
+        return _tally_chunks(configs, jobs, size)
+    shares = [jobs[w::n_workers] for w in range(n_workers)]
+    n_pooled = n_workers - 1
+    with ThreadPoolExecutor(max_workers=n_pooled) as pool:
+        pooled = pool.map(_tally_chunks, [configs] * n_pooled, shares[1:], [size] * n_pooled)
+        per_worker = [_tally_chunks(configs, shares[0], size), *pooled]
     return [sum(tallies, Tally.zero()) for tallies in zip(*per_worker)]
 
 

@@ -65,7 +65,7 @@ def _breakpoints(angle_1: float, angle_2: float) -> np.ndarray:
 def _labels(
     phi: np.ndarray, r: np.ndarray, angle_1: float, angle_2: float, params: ModelParams
 ) -> np.ndarray:
-    """The joint label 3*o1 + o2 + 4 in 0..8, folded in int8 as tally_outcomes does."""
+    """The joint label 3*o1 + o2 + 4 in 0..8, folded in int8."""
     label = measure_many(phi, r, angle_1, DetectorSide.ONE, params) * np.int8(3)
     label += measure_many(phi, r, angle_2, DetectorSide.TWO, params)
     label += np.int8(4)

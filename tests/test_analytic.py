@@ -201,11 +201,15 @@ class TestBellSlack:
         assert s == pytest.approx(-0.28947368421052655, rel=1e-12)
         assert s < 0.0
 
-    def test_positive_below_critical(self):
+    @pytest.mark.parametrize("kind, want", [
+        (SIN, 0.5),
+        (LINE, 2.0 - math.sqrt(2.0)),  # E(pi/3) = -sqrt(2)/3 on the staircase
+    ])
+    def test_positive_below_critical(self, kind, want):
         s = bell_generalized_slack(
-            0.8, 1.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi / 3.0
+            0.8, 1.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi / 3.0, kind
         )
-        assert s == pytest.approx(0.5, rel=1e-12)
+        assert s == pytest.approx(want, rel=1e-12)
 
     def test_reduced_visibility_relaxes(self):
         tight = bell_generalized_slack(0.9, 1.0, 0.5, 1.0, 0.5)

@@ -364,7 +364,9 @@ RUN_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
 def test_worker_count_never_changes_output(tmp_path, monkeypatch, capsys, command):
-    # Each run has more than one chunk, so --workers 2 reaches a pool of 2.
+    # n workers are the caller and a pool of n - 1 threads, so --workers 2
+    # and 3 reach pools of 1 and 2.  Verify's determinism check also runs at
+    # 3 and 7 workers, pools of 2 and 3, whatever --workers says.
     pools = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -376,13 +378,13 @@ def test_worker_count_never_changes_output(tmp_path, monkeypatch, capsys, comman
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     monkeypatch.chdir(tmp_path)
     outputs = []
-    for workers in ("1", "2"):
+    for workers in (1, 2, 3):
         pools.clear()
-        assert cli.main(RUN_COMMANDS[command] + ["--workers", workers]) == 0
-        assert (2 in pools) == (workers == "2")
+        assert cli.main(RUN_COMMANDS[command] + ["--workers", str(workers)]) == 0
+        assert (workers - 1 in pools) == (workers > 1)
         csv = (tmp_path / "sweep.csv").read_bytes() if command == "sweep" else b""
         outputs.append((capsys.readouterr().out, csv))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0]
 
 

@@ -392,13 +392,15 @@ def _reference_batches(draw):
 
 
 def _edge_examples(test):
-    """Add batches on two boundary conventions that random draws may miss, each side.
+    """Add batches on three boundary conventions that random draws may miss.
 
-    A staircase at v = 1, where the error band adds nothing, with events at
-    shifted phase pi/4, 3*pi/4 (mod pi) and r between the two step levels:
-    the inner step is open, so none is detected.  A v < 1 pattern with
-    events at shifted phase pi/2 and r in (w, cap]: the error band is + on
-    t in (0, pi/2], closed at pi/2.
+    On each side: a staircase at v = 1, where the error band adds nothing,
+    with events at shifted phase pi/4, 3*pi/4 (mod pi) and r between the two
+    step levels: the inner step is open, so none is detected.  A v < 1
+    pattern with events at shifted phase pi/2 and r in (w, cap]: the error
+    band is + on t in (0, pi/2], closed at pi/2.  On station two: the
+    unsymmetrized pattern with detected events at shifted phase pi and one
+    ulp either side of it: the + half is [pi, 2*pi), closed at pi.
     """
     step = ModelParams(0.75, 1.0, LINE)
     step_phis = [k * 0.25 * math.pi for k in (1, 3, 5, 7)]
@@ -409,7 +411,9 @@ def _edge_examples(test):
     for side, offset in ((DetectorSide.ONE, 0.0), (DetectorSide.TWO, 0.5)):
         test = example((step, side, 0.0, step_phis, [offset + step_r] * 4))(test)
         test = example((band, side, 0.0, [0.5 * math.pi] * 2, [offset + r for r in band_rs]))(test)
-    return test
+    unsym = ModelParams(0.7, 1.0, UNSYM)
+    at_pi = [math.nextafter(math.pi, 0.0), math.pi, math.nextafter(math.pi, 4.0)]
+    return example((unsym, DetectorSide.TWO, 0.0, at_pi, [0.5 * unsym.b] * 3))(test)
 
 
 class TestMeasureManyMatchesReference:

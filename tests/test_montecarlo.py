@@ -208,33 +208,57 @@ def pools(monkeypatch):
     """Patch in a ThreadPoolExecutor that starts no thread; return the pools it makes.
 
     map runs its jobs in turn on the caller's thread.  Each pool records its
-    size and, per job, the chunks it takes of each config of the batch.
+    size, the (config index, chunk) jobs it is handed per pool thread
+    (shares), and the jobs the caller tallies itself while the pool is open
+    (caller_share).
     """
     made = []
+    tally_chunks = montecarlo._tally_chunks
 
     class FakePool:
         def __init__(self, max_workers):
-            self.max_workers, self.shares = max_workers, []
+            self.max_workers, self.shares, self.caller_share = max_workers, [], None
+            self.open = self.in_map = False
             made.append(self)
 
         def __enter__(self):
+            self.open = True
             return self
 
         def __exit__(self, *exc):
-            pass
+            self.open = False
 
         def map(self, fn, config_lists, shares, sizes):
             for configs, share, size in zip(config_lists, shares, sizes):
-                self.shares.append([list(chunks) for chunks in share])
-                yield fn(configs, share, size)
+                self.shares.append(list(share))
+                self.in_map = True
+                try:
+                    yield fn(configs, share, size)
+                finally:
+                    self.in_map = False
 
-        @property
-        def jobs(self):
-            """The chunks of each job and config, flat: one list per job for one run."""
-            return [chunks for share in self.shares for chunks in share]
+    def recording_tally_chunks(configs, jobs, size):
+        if made and made[-1].open and not made[-1].in_map:
+            assert made[-1].caller_share is None, "the caller tallies one share per batch"
+            made[-1].caller_share = list(jobs)
+        return tally_chunks(configs, jobs, size)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(montecarlo, "_tally_chunks", recording_tally_chunks)
     return made
+
+
+def assert_dealt(pool, want_shares):
+    """The caller ran want_shares[0], and a pool of one thread fewer the rest.
+
+    Together the shares hold every (config index, chunk) job of the batch
+    exactly once.
+    """
+    assert pool.max_workers == len(want_shares) - 1
+    assert [pool.caller_share, *pool.shares] == want_shares
+    dealt = sorted(job for share in want_shares for job in share)
+    assert len(set(dealt)) == len(dealt)
+    return dealt
 
 
 class TestRun:
@@ -254,12 +278,13 @@ class TestRun:
         )
 
     def test_workers_are_clamped_to_chunks_and_cpus(self, monkeypatch, pools):
+        # n workers are the caller and a pool of n - 1 threads.
         cfg = RunConfig(params=self.p, angle_1=0.0, angle_2=0.5, n_pairs=3 * 4096,
                         seed=9, chunk_size=4096)
         one_chunk = dataclasses.replace(cfg, n_pairs=4096)
         serial = {cfg: run(cfg), one_chunk: run(one_chunk)}
         for cpus, workers, chunk_cfg, pool_size in (
-            (4, 1000, cfg, 3), (4, 2, cfg, 2), (2, 7, cfg, 2),
+            (4, 1000, cfg, 2), (4, 2, cfg, 1), (2, 7, cfg, 1),
             (4, 8, one_chunk, None), (1, 8, cfg, None), (None, 8, cfg, None),
             (4, 0, cfg, None), (4, None, cfg, None),
         ):
@@ -278,11 +303,10 @@ class TestRun:
             pools.clear()
             assert run(cfg, workers=workers) == serial
             (pool,) = pools
-            assert pool.max_workers == workers
-            assert pool.jobs == [
-                list(range(w, cfg.n_chunks, workers)) for w in range(workers)
-            ]
-            assert sorted(sum(pool.jobs, [])) == list(range(cfg.n_chunks))
+            dealt = assert_dealt(pool, [
+                [(0, k) for k in range(w, cfg.n_chunks, workers)] for w in range(workers)
+            ])
+            assert dealt == [(0, k) for k in range(cfg.n_chunks)]
 
     @pytest.mark.parametrize("workers", [-1, 2.5, True, "2"])
     def test_rejects_bad_worker_counts(self, workers):
@@ -412,15 +436,16 @@ class TestRunMany:
         assert [t.n_total for t in want] == [2000, 5 * 1024 + 3, 3 * 2048, 1500]
         assert montecarlo.run_many(self.batch, workers=workers) == want
 
-    def test_workers_share_out_every_config_by_residue(self, monkeypatch, pools):
+    def test_workers_deal_out_the_batch_by_job(self, monkeypatch, pools):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         want = [run(cfg) for cfg in self.batch]
-        assert montecarlo.run_many(self.batch, workers=3) == want
-        (pool,) = pools
-        assert pool.max_workers == 3
-        assert pool.shares == [
-            [list(range(w, cfg.n_chunks, 3)) for cfg in self.batch] for w in range(3)
-        ]
+        jobs = [(i, k) for i, cfg in enumerate(self.batch) for k in range(cfg.n_chunks)]
+        assert len(jobs) == 1 + 6 + 3 + 3
+        for workers in (2, 3):
+            pools.clear()
+            assert montecarlo.run_many(self.batch, workers=workers) == want
+            (pool,) = pools
+            assert assert_dealt(pool, [jobs[w::workers] for w in range(workers)]) == jobs
 
     def test_empty_batch(self, pools):
         assert montecarlo.run_many([], workers=4) == []
@@ -444,18 +469,22 @@ class TestSweepAndChshPools:
         rows = theta_sweep(self.p, n_steps=3,
                            pairs_per_step=3 * montecarlo.DEFAULT_CHUNK_SIZE, workers=2)
         assert len(rows) == 3
-        assert [pool.max_workers for pool in pools] == [2]
+        assert [pool.max_workers for pool in pools] == [1]
 
     def test_chsh_makes_one_pool(self, monkeypatch, pools):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         chsh_experiment(self.p, pairs_per_setting=2 * montecarlo.DEFAULT_CHUNK_SIZE + 1,
                         workers=2)
-        assert [pool.max_workers for pool in pools] == [2]
+        assert [pool.max_workers for pool in pools] == [1]
 
-    def test_sweep_of_single_chunk_rows_makes_no_pool(self, monkeypatch, pools):
+    def test_sweep_of_single_chunk_rows_makes_one_pool(self, monkeypatch, pools):
+        # The rows are dealt out like the chunks of one run.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-        theta_sweep(self.p, n_steps=3, pairs_per_step=1000, workers=2)
+        serial = theta_sweep(self.p, n_steps=3, pairs_per_step=1000, workers=1)
         assert pools == []
+        assert theta_sweep(self.p, n_steps=3, pairs_per_step=1000, workers=2) == serial
+        (pool,) = pools
+        assert_dealt(pool, [[(0, 0), (2, 0)], [(1, 0)]])
 
 
 class TestEstimate:
