@@ -12,6 +12,7 @@ from singlet_lhv import (
     PatternKind,
     SingletLhvError,
     joint_table,
+    measure_many,
     nonideal_probs,
     solve_params,
 )
@@ -189,6 +190,38 @@ class TestCutsAgainstClosedForm:
         np.testing.assert_allclose(got, joint_table(params, a2 - a1), rtol=0.0, atol=1e-15)
 
 
+class TestMeasureManyCalls:
+    """One measure_many call per station; on a generic pair, bulk for sin and line, small for unsym.
+
+    The benchmark's traced run counts an oracle measure_many call of 65,536
+    elements or more as bulk and any other as small, and reports a failed
+    op unless it sees both kinds; through these sizes its three-kind oracle
+    op shows both.  Drop this pin once the harness splits its calls by caller
+    instead (ROADMAP item 15).
+    """
+
+    @pytest.mark.parametrize("kind,eta,v,size", [
+        (SIN, 0.7, 0.8, 70_176), (LINE, 0.9, 0.75, 70_176), (UNSYM, 0.7, 1.0, 64_056),
+    ])
+    def test_one_call_per_station(self, monkeypatch, kind, eta, v, size):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return measure_many(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "measure_many", counting)
+        # Two generic settings split [0, 2*pi) into 17 pieces of 24 nodes.
+        outcome_probabilities(solve_params(eta, v, kind), 0.3, 1.3)
+        assert len(calls) == 2
+        for args, kwargs in calls:
+            phi, r, _angle, side, _params = args
+            assert not kwargs and isinstance(phi, np.ndarray) and isinstance(r, np.ndarray)
+            assert phi.size == r.size == size
+            assert (size >= 1 << 16) == (kind is not UNSYM)
+        assert [args[3] for args, _ in calls] == [DetectorSide.ONE, DetectorSide.TWO]
+
+
 def _band_edge_mutant(measure_many):
     """measure_many with one station's detection band cut short at 0.93*b."""
 
@@ -204,6 +237,28 @@ def _band_edge_mutant(measure_many):
         return out
 
     return mutated
+
+
+#: Each kind's inner cuts, with the column of _segments' start that holds them.
+_INNER_CUTS = (
+    *((kind, cut, column) for kind in (SIN, LINE) for column, cut in enumerate(
+        ("w1", "cap1", "b", "1/2", "1/2+w2", "1/2+cap2", "1/2+b"), start=1
+    )),
+    (UNSYM, "w1", 1), (UNSYM, "b", 2),
+)
+
+
+def _cut_shifted(segments, column, shift):
+    """_segments with every row's inner cut in start column `column` moved up by shift."""
+
+    def shifted(*args):
+        start, seg = (x.copy() for x in segments(*args))
+        start[:, column] += shift
+        seg[:, column - 1] += shift
+        seg[:, column] -= shift
+        return start, seg
+
+    return shifted
 
 
 class TestProbeGuard:
@@ -222,6 +277,28 @@ class TestProbeGuard:
         params = solve_params(math.sqrt(4.0 * (2.5 / 16) / LINE.amplitude_constant), 1.0, LINE)
         assert params.a == 2.5 / 16
         got = outcome_probabilities(params, 0.0, 1.0, r_probes=16).table
+        np.testing.assert_allclose(got, joint_table(params, 1.0), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("r_probes", (150, 16))
+    @pytest.mark.parametrize(
+        "kind,cut,column", _INNER_CUTS, ids=[f"{k.value}-{c}" for k, c, _ in _INNER_CUTS]
+    )
+    def test_cut_moved_by_1e_6_is_caught(self, monkeypatch, kind, cut, column, r_probes):
+        # The grid alone passes a cut this close at either size; the
+        # straddles at cut -+ 2**-36 see it.
+        params = solve_params(0.7, 1.0 if kind is UNSYM else 0.8, kind)
+        monkeypatch.setattr(quadrature, "_segments", _cut_shifted(quadrature._segments, column, 1e-6))
+        with pytest.raises(SingletLhvError, match="disagrees with the pattern cuts"):
+            outcome_probabilities(params, 0.3, 1.3, r_probes=r_probes)
+
+    def test_straddle_on_a_neighbouring_cut_is_skipped(self):
+        # At eta = 1 - 2**-17.5 the band edge b is exactly 1/2 - 2**-36, so
+        # the straddle above b lies on the half cut 1/2.  measure_many puts
+        # r = 1/2 in the upper half, which the segment below 1/2 is not, so
+        # only the skip keeps this straddle from failing.
+        params = solve_params(1.0 - math.sqrt(2.0**-35), 0.5, SIN)
+        assert params.b + 2.0**-36 == 0.5
+        got = outcome_probabilities(params, 0.0, 1.0).table
         np.testing.assert_allclose(got, joint_table(params, 1.0), rtol=0.0, atol=1e-15)
 
 
@@ -265,11 +342,28 @@ def _guard_case(rng, family):
     return got, probes, cuts, segment_label
 
 
+def _grid_labels(got, phi, cuts, segment_label):
+    """_labels as the guard calls it, giving got on the grid and each segment's label elsewhere.
+
+    The probe set is each row's segment midpoints and grid, then the
+    straddles; a straddle gets the label of the segment it lies in.
+    """
+    block = np.hstack([segment_label, got]).ravel()
+    row_of = {float(x): i for i, x in enumerate(phi)}
+
+    def labels(phi_r, r, *rest):
+        rows = np.array([row_of[float(x)] for x in phi_r[block.size:]], dtype=np.intp)
+        below = (cuts[rows] < r[block.size:, None]).sum(axis=1)
+        return np.concatenate([block, segment_label[rows, below]])
+
+    return labels
+
+
 _FAMILIES = ("random", "on-probes", "duplicates", "edges")
 
 
 class TestProbeMismatches:
-    """The one-pass guard flags exactly the probes the cumulative-count formula flags."""
+    """The one-pass grid check flags exactly the probes the cumulative-count formula flags."""
 
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_matches_reference_formula(self, monkeypatch, family):
@@ -283,9 +377,13 @@ class TestProbeMismatches:
             assert np.array_equal(bad, bad_ref) and np.array_equal(want, want_ref)
             n_phi, r_probes = got.shape
             phi = rng.random(n_phi) * 6.0
-            monkeypatch.setattr(quadrature, "_labels", lambda *args: got.ravel())
+            start = np.hstack([np.zeros((n_phi, 1)), cuts])
+            seg = np.diff(start, axis=1, append=1.0)
+            monkeypatch.setattr(
+                quadrature, "_labels", _grid_labels(got, phi, cuts, segment_label)
+            )
             if not bad_ref.any():
-                quadrature._check_segments(phi, cuts, segment_label, r_probes, 0.0, 0.0, params)
+                quadrature._label_segments(phi, start, seg, r_probes, 0.0, 0.0, params)
                 continue
             raised += 1
             i, j = np.argwhere(bad_ref)[0]
@@ -297,7 +395,7 @@ class TestProbeMismatches:
                 f"r = {float(probes[j])!r}: it gives outcomes {o_got}, the segment {o_want}"
             )
             with pytest.raises(SingletLhvError) as err:
-                quadrature._check_segments(phi, cuts, segment_label, r_probes, 0.0, 0.0, params)
+                quadrature._label_segments(phi, start, seg, r_probes, 0.0, 0.0, params)
             assert str(err.value) == text
         assert 100 < raised < 400
 
