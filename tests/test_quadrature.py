@@ -191,19 +191,17 @@ class TestCutsAgainstClosedForm:
 
 
 class TestMeasureManyCalls:
-    """One measure_many call per station; on a generic pair, bulk for sin and line, small for unsym.
+    """Per station, one small call for the midpoints and one bulk call for the probes.
 
-    The benchmark's traced run counts an oracle measure_many call of 65,536
-    elements or more as bulk and any other as small, and reports a failed
-    op unless it sees both kinds; through these sizes its three-kind oracle
-    op shows both.  Drop this pin once the harness splits its calls by caller
-    instead (ROADMAP item 15).
+    The benchmark's traced run needs an oracle measure_many call of at least
+    65,536 elements on a generic setting pair.  Drop this pin once the
+    harness splits its calls by caller instead (ROADMAP item 15).
     """
 
-    @pytest.mark.parametrize("kind,eta,v,size", [
-        (SIN, 0.7, 0.8, 70_176), (LINE, 0.9, 0.75, 70_176), (UNSYM, 0.7, 1.0, 64_056),
+    @pytest.mark.parametrize("kind,eta,v,n_seg", [
+        (SIN, 0.7, 0.8, 8), (LINE, 0.9, 0.75, 8), (UNSYM, 0.7, 1.0, 3),
     ])
-    def test_one_call_per_station(self, monkeypatch, kind, eta, v, size):
+    def test_midpoint_and_probe_calls(self, monkeypatch, kind, eta, v, n_seg):
         calls = []
 
         def counting(*args, **kwargs):
@@ -213,13 +211,15 @@ class TestMeasureManyCalls:
         monkeypatch.setattr(quadrature, "measure_many", counting)
         # Two generic settings split [0, 2*pi) into 17 pieces of 24 nodes.
         outcome_probabilities(solve_params(eta, v, kind), 0.3, 1.3)
-        assert len(calls) == 2
+        assert len(calls) == 4
         for args, kwargs in calls:
-            phi, r, _angle, side, _params = args
+            phi, r, _angle, _side, _params = args
             assert not kwargs and isinstance(phi, np.ndarray) and isinstance(r, np.ndarray)
-            assert phi.size == r.size == size
-            assert (size >= 1 << 16) == (kind is not UNSYM)
-        assert [args[3] for args, _ in calls] == [DetectorSide.ONE, DetectorSide.TWO]
+            assert phi.size == r.size
+        sizes = [args[0].size for args, _ in calls]
+        assert sizes[:2] == [408 * n_seg] * 2
+        assert sizes[2] == sizes[3] >= 1 << 16
+        assert [args[3] for args, _ in calls] == [DetectorSide.ONE, DetectorSide.TWO] * 2
 
 
 def _band_edge_mutant(measure_many):
@@ -279,7 +279,7 @@ class TestProbeGuard:
         got = outcome_probabilities(params, 0.0, 1.0, r_probes=16).table
         np.testing.assert_allclose(got, joint_table(params, 1.0), rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("r_probes", (150, 16))
+    @pytest.mark.parametrize("r_probes", (160, 16))
     @pytest.mark.parametrize(
         "kind,cut,column", _INNER_CUTS, ids=[f"{k.value}-{c}" for k, c, _ in _INNER_CUTS]
     )
@@ -342,19 +342,14 @@ def _guard_case(rng, family):
     return got, probes, cuts, segment_label
 
 
-def _grid_labels(got, phi, cuts, segment_label):
-    """_labels as the guard calls it, giving got on the grid and each segment's label elsewhere.
-
-    The probe set is each row's segment midpoints and grid, then the
-    straddles; a straddle gets the label of the segment it lies in.
-    """
-    block = np.hstack([segment_label, got]).ravel()
+def _fake_labels(got, phi, cuts, segment_label):
+    """_labels as the guard calls it, giving got on the grid and each straddle its segment's label."""
     row_of = {float(x): i for i, x in enumerate(phi)}
 
     def labels(phi_r, r, *rest):
-        rows = np.array([row_of[float(x)] for x in phi_r[block.size:]], dtype=np.intp)
-        below = (cuts[rows] < r[block.size:, None]).sum(axis=1)
-        return np.concatenate([block, segment_label[rows, below]])
+        rows = np.array([row_of[float(x)] for x in phi_r[got.size:]], dtype=np.intp)
+        below = (cuts[rows] < r[got.size:, None]).sum(axis=1)
+        return np.concatenate([got.ravel(), segment_label[rows, below]])
 
     return labels
 
@@ -363,7 +358,7 @@ _FAMILIES = ("random", "on-probes", "duplicates", "edges")
 
 
 class TestProbeMismatches:
-    """The one-pass grid check flags exactly the probes the cumulative-count formula flags."""
+    """The grid and straddle checks flag exactly the probes their reference formulas flag."""
 
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_matches_reference_formula(self, monkeypatch, family):
@@ -377,13 +372,11 @@ class TestProbeMismatches:
             assert np.array_equal(bad, bad_ref) and np.array_equal(want, want_ref)
             n_phi, r_probes = got.shape
             phi = rng.random(n_phi) * 6.0
-            start = np.hstack([np.zeros((n_phi, 1)), cuts])
-            seg = np.diff(start, axis=1, append=1.0)
             monkeypatch.setattr(
-                quadrature, "_labels", _grid_labels(got, phi, cuts, segment_label)
+                quadrature, "_labels", _fake_labels(got, phi, cuts, segment_label)
             )
             if not bad_ref.any():
-                quadrature._label_segments(phi, start, seg, r_probes, 0.0, 0.0, params)
+                quadrature._check_segments(phi, cuts, segment_label, r_probes, 0.0, 0.0, params)
                 continue
             raised += 1
             i, j = np.argwhere(bad_ref)[0]
@@ -395,9 +388,38 @@ class TestProbeMismatches:
                 f"r = {float(probes[j])!r}: it gives outcomes {o_got}, the segment {o_want}"
             )
             with pytest.raises(SingletLhvError) as err:
-                quadrature._label_segments(phi, start, seg, r_probes, 0.0, 0.0, params)
+                quadrature._check_segments(phi, cuts, segment_label, r_probes, 0.0, 0.0, params)
             assert str(err.value) == text
         assert 100 < raised < 400
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_straddles_match_per_row_search(self, family):
+        rng = np.random.default_rng(10 + _FAMILIES.index(family))
+        on_cuts = 0
+        for _ in range(200):
+            _, _, cuts, segment_label = _guard_case(rng, family)
+            # Move some cuts to 2**-36 above the one before, so that a
+            # straddle lies exactly on a neighbouring cut.
+            n_phi, n_cuts = cuts.shape
+            for i, k in zip(*np.nonzero(rng.random((n_phi, n_cuts - 1)) < 0.2)):
+                if cuts[i, k] < 0.5:
+                    cuts[i, k + 1] = cuts[i, k] + 2.0**-36
+            cuts.sort(axis=1)
+            straddle = (cuts[:, :, None] + quadrature._STRADDLE).reshape(n_phi, -1)
+            straddle[(straddle < 0.0) | (straddle >= 1.0)] = np.nan
+            keep = ~np.isnan(straddle)
+            want_ref = np.zeros(straddle.shape, np.int8)
+            on_cut = np.zeros(straddle.shape, bool)
+            for i, j in zip(*np.nonzero(keep)):
+                want_ref[i, j] = segment_label[i, np.searchsorted(cuts[i], straddle[i, j])]
+                on_cut[i, j] = straddle[i, j] in cuts[i]
+            flip = rng.random(straddle.shape) < 0.1
+            got = np.where(flip, rng.integers(0, 9, straddle.shape), want_ref).astype(np.int8)
+            want, bad = quadrature._straddle_mismatches(got, straddle, cuts, segment_label)
+            assert np.array_equal(want[keep], want_ref[keep])
+            assert np.array_equal(bad, (got != want_ref) & keep & ~on_cut)
+            on_cuts += int(on_cut.sum())
+        assert on_cuts > 0
 
     def test_gauss_legendre_arrays_are_cached_and_read_only(self):
         x, w = quadrature._gauss_legendre(24)
