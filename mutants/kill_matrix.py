@@ -11,12 +11,13 @@ temporary directory, the mutant is applied, and two gates run there:
 * `python -m singlet_lhv.cli verify --pairs 100000 --seed 42`.
 
 The unmutated copy must come out clean first.  The matrix records, per
-mutant, the failing test ids and pytest's exit code, and verify's exit code,
-FAIL check names and last stderr line.  A verify exit of 2 with an error:
-line is a kill that names no check.  tests/test_mutants.py checks this list
-and this matrix, so it is left out of every run: a mutant removes the text
-that test looks for.  Two mutants run at a time; a pass over the list takes
-about 25 minutes on a 2-core host.  The result goes to kill_matrix.json.
+mutant, its file, old and new text, the failing test ids and pytest's exit
+code, and verify's exit code, FAIL check names and last stderr line.  A
+verify exit of 2 with an error: line is a kill that names no check.
+tests/test_mutants.py checks this list and this matrix, so it is left out
+of every run: a mutant removes the text that test looks for.  Two mutants
+run at a time; a pass over the list takes about 25 minutes on a 2-core
+host.  The result goes to kill_matrix.json.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ TIER1 = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 VERIFY = ["-m", "singlet_lhv.cli", "verify", "--pairs", "100000", "--seed", "42"]
 TIMEOUT_S = 1800
+#: The fields of a mutant that its matrix entry repeats, so that an entry
+#: left over from an edited mutant shows.
+MUTATION = ("file", "old", "new")
 JOBS = 2
 
 
@@ -102,7 +106,7 @@ def mutant_gates(mutant: dict, scratch: Path) -> dict:
     copy_tree(tree)
     apply(tree, mutant)
     try:
-        return gates(tree)
+        return {key: mutant[key] for key in MUTATION} | gates(tree)
     finally:
         shutil.rmtree(tree, ignore_errors=True)
 

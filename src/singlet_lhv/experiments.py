@@ -377,11 +377,12 @@ def _shift_mismatches(seed: int) -> int:
 def _quadrature_deviation() -> float:
     """The largest cell error of the integrated table against joint_table."""
     dev = 0.0
-    for kind, a1, a2 in (
-        (PatternKind.SYMMETRIZED_SINUSOIDAL, 0.3, 0.3 + math.pi / 3.0),
-        (PatternKind.SYMMETRIZED_STAIRCASE, 0.1, 2.1),
+    for kind, v, a1, a2 in (
+        (PatternKind.SYMMETRIZED_SINUSOIDAL, 0.8, 0.3, 0.3 + math.pi / 3.0),
+        (PatternKind.SYMMETRIZED_STAIRCASE, 0.8, 0.1, 2.1),
+        (PatternKind.UNSYMMETRIZED_SINUSOIDAL, 1.0, 0.4, 0.4 + math.pi / 3.0),
     ):
-        p = solve_params(0.7, 0.8, kind)
+        p = solve_params(0.7, v, kind)
         table = outcome_probabilities(p, a1, a2).table
         dev = max(dev, float(np.max(np.abs(table - joint_table(p, a2 - a1)))))
     return dev

@@ -202,6 +202,12 @@ def _check_params(params) -> None:
         raise InvalidConfig(f"params must be ModelParams, got {params!r}")
 
 
+def _check_side(side) -> None:
+    """Raise InvalidConfig unless side is a DetectorSide."""
+    if not isinstance(side, DetectorSide):
+        raise InvalidConfig(f"side must be a DetectorSide, got {side!r}")
+
+
 def solve_params(eta: float, v: float, kind: PatternKind) -> ModelParams:
     """Solve the pattern parameters reproducing (eta, v); same as ModelParams(eta, v, kind)."""
     return ModelParams(eta, v, kind)
@@ -269,8 +275,10 @@ def measure_many(
     phi and r hold the hidden variables and broadcast against each other; a
     0-d pair gives a 0-d result.  detector_angle may be any real and is
     reduced mod 2*pi; a NaN or infinite phase or angle raises DomainError,
-    as HiddenVariable does for measure().  Event by event the result equals
-    measure(), the plain-Python reference, bit for bit.
+    as HiddenVariable does for measure().  A side that is not a DetectorSide
+    or params that are not a ModelParams raise InvalidConfig, as in
+    measure().  Event by event the result equals measure(), the plain-Python
+    reference, bit for bit.
 
     A symmetrized station evaluates its pattern only on its own r-half.  The
     constant detection band of the other half is decided for the whole array
@@ -285,6 +293,8 @@ def measure_many(
     Every step acts on each event alone, so the slices give the result of
     one pass bit for bit; a non-finite phase in any slice raises.
     """
+    _check_side(side)
+    _check_params(params)
     phi = np.asarray(phi, dtype=float)
     r = np.asarray(r, dtype=float)
     if phi.shape != r.shape:
@@ -367,9 +377,10 @@ def measure(
     """Outcome of one station for one hidden variable, in plain Python.
 
     This is the reference that measure_many is tested against.  It uses
-    Python floats and the math module and shares no code with measure_many.
-    A non-finite detector_angle raises DomainError, as HiddenVariable does
-    for a phase outside [0, 2*pi).
+    Python floats and the math module and shares no code with measure_many
+    beyond the input checks.  A non-finite detector_angle raises DomainError,
+    as HiddenVariable does for a phase outside [0, 2*pi); a side that is not
+    a DetectorSide or params that are not a ModelParams raise InvalidConfig.
     With pp the shifted phase, t = pp mod pi, and r_pat and r_band the
     offsets of r into the pattern half and the band half, the boundary
     conventions are:
@@ -386,6 +397,8 @@ def measure(
       also open at pp == 0 and pp == pi; its station two is a band of height
       b over all of r, - on [0, pi) and + on [pi, 2*pi).
     """
+    _check_side(side)
+    _check_params(params)
     if not math.isfinite(detector_angle):
         raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
     a, b, c = params.a, params.b, params.c

@@ -19,13 +19,13 @@ therefore splits [0, 2*pi) at angle_i + k*pi/4 and applies Gauss-Legendre
 on each piece.  The table matches the closed forms to a few 1e-16.
 
 The cuts restate the geometry that measure_many implements, so a probe
-guard checks them against measure_many itself.  Each phi node's probe set
-holds an evenly spaced r grid and every inner cut probed from both sides
-at cut -+ 2**-36; the segment midpoints are labelled in one measure_many
-call per station and the probes in another.  The straddles catch a cut
-that is off by any amount above 2**-36, and the grid catches a missing
-cut or a mislabelled segment wider than one grid step.  A probe off a
-cut whose label is not its segment's raises SingletLhvError.
+guard checks them against measure_many itself.  The segment midpoints are
+labelled in one measure_many call per station, and one flat probe list in
+another: each phi node's r grid, then every inner cut from both sides at
+cut -+ 2**-36.  The straddles catch a cut off by more than 2**-36, and the
+grid a missing cut or a mislabelled segment wider than one grid step.  A
+probe off a cut whose label is not its segment's, or cuts out of order,
+raise SingletLhvError.
 """
 
 from __future__ import annotations
@@ -104,43 +104,34 @@ def _segments(
     return np.hstack(starts), np.hstack(lengths)
 
 
-def _probe_mismatches(
-    got: np.ndarray, probes: np.ndarray, cuts: np.ndarray, segment_label: np.ndarray
+def _expected_labels(
+    grid: np.ndarray, straddle: np.ndarray, rows: np.ndarray,
+    cuts: np.ndarray, segment_label: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each grid probe's segment label, and where got differs from it off a cut.
+    """Each probe's segment label, and whether it is compared.
 
-    got holds one row of grid probe labels per phi node, probes the
-    ascending r grid, and cuts each row's inner cuts in ascending order, as
-    _segments gives them.  searchsorted gives each cut the number of probes
-    below it, so the counts between consecutive cuts are the probes in each
-    segment, and one repeat of the segment labels lays out every probe's
-    label.  A probe counted at or below a cut ("right") but not below it
-    ("left") sits exactly on that cut, where either label may hold, and is
-    not compared.
+    The probes are every row's grid, then the straddles, the k-th in row
+    rows[k]; cuts holds each row's inner cuts in ascending order.  Each
+    cut's count of grid probes below it, from searchsorted, bounds the grid
+    probes of each segment, and one repeat of the segment labels lays them
+    out; a running maximum keeps the counts nonnegative if a row's cuts are
+    out of order, so that the row fails the compare.  A straddle's segment
+    is the number of its own row's cuts below it; row offsets would round.
+    A probe exactly on a cut, where either label may hold, is not compared.
     """
-    n_phi, r_probes = got.shape
-    below = np.searchsorted(probes, cuts, side="left")
-    counts = np.diff(below, axis=1, prepend=0, append=r_probes)
-    want = np.repeat(segment_label.ravel(), counts.ravel())
-    bad = got.ravel() != want
-    on_cut = np.searchsorted(probes, cuts, side="right") > below
-    bad[(r_probes * np.arange(n_phi)[:, None] + below)[on_cut]] = False
-    return want.reshape(n_phi, r_probes), bad.reshape(n_phi, r_probes)
-
-
-def _straddle_mismatches(
-    got: np.ndarray, straddle: np.ndarray, cuts: np.ndarray, segment_label: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each straddle's segment label, and where got differs from it off a cut.
-
-    straddle holds each row's probes beside its own cuts, NaN where a probe
-    was dropped.  A straddle's segment is the number of its own row's cuts
-    below it; no row offsets are added, since they would round.  A straddle
-    on a cut, or a dropped one, is not compared.
-    """
-    side = cuts[:, :, None] - straddle[:, None, :]
-    want = np.take_along_axis(segment_label, (side < 0.0).sum(axis=1), axis=1)
-    return want, (got != want) & (side != 0.0).all(axis=1) & ~np.isnan(straddle)
+    n_phi, r_probes = cuts.shape[0], grid.size
+    left, right = (np.searchsorted(grid, cuts, side=side) for side in ("left", "right"))
+    counts = np.diff(np.maximum.accumulate(left, axis=1), axis=1, prepend=0, append=r_probes)
+    # Each straddle's own cuts as a column: the reductions add whole rows.
+    own = np.take(cuts.T, rows, axis=1)
+    want = np.concatenate([
+        np.repeat(segment_label.ravel(), counts.ravel()),
+        segment_label[rows, (own < straddle).sum(axis=0)],
+    ])
+    compared = np.ones(want.size, dtype=bool)
+    compared[(r_probes * np.arange(n_phi)[:, None] + left)[right > left]] = False
+    compared[n_phi * r_probes:] = (own != straddle).all(axis=0)
+    return want, compared
 
 
 def _check_segments(
@@ -151,38 +142,29 @@ def _check_segments(
 
     One _labels call labels each row's probes: a grid of r_probes evenly
     spaced r values, and each inner cut at cut -+ _STRADDLE, less any
-    straddle outside [0, 1).  A probe exactly on a cut is not compared.
+    straddle outside [0, 1).
     """
-    n_phi = phi.size
+    n_phi, n_grid = phi.size, phi.size * r_probes
     grid = (np.arange(r_probes) + 0.5) / r_probes
     straddle = (cuts[:, :, None] + _STRADDLE).reshape(n_phi, -1)
-    inside = (straddle >= 0.0) & (straddle < 1.0)
-    straddle[~inside] = np.nan
-    # Each row's grid, then every row's straddles, written once into the
-    # two arrays measure_many reads.
-    n_grid = n_phi * r_probes
-    r, phi_r = np.empty((2, n_grid + int(inside.sum())))
+    rows, cols = np.nonzero((straddle >= 0.0) & (straddle < 1.0))
+    # Every row's grid, then the straddles, written once into the arrays
+    # measure_many reads.
+    r, phi_r = np.empty((2, n_grid + rows.size))
     r[:n_grid].reshape(n_phi, r_probes)[:] = grid
-    r[n_grid:] = straddle[inside]
+    r[n_grid:] = straddle[rows, cols]
     phi_r[:n_grid].reshape(n_phi, r_probes)[:] = phi[:, None]
-    phi_r[n_grid:] = np.repeat(phi, inside.sum(axis=1))
-    labels = _labels(phi_r, r, angle_1, angle_2, params)
-    got_grid = labels[:n_grid].reshape(n_phi, r_probes)
-    got_straddle = np.zeros(straddle.shape, dtype=np.int8)
-    got_straddle[inside] = labels[n_grid:]
-    for got, probes, (want, bad) in (
-        (got_grid, np.broadcast_to(grid, got_grid.shape),
-         _probe_mismatches(got_grid, grid, cuts, segment_label)),
-        (got_straddle, straddle,
-         _straddle_mismatches(got_straddle, straddle, cuts, segment_label)),
-    ):
-        if bad.any():
-            i, j = np.unravel_index(bad.argmax(), bad.shape)
-            o_got, o_want = (tuple(o - 1 for o in divmod(int(x[i, j]), 3)) for x in (got, want))
-            raise SingletLhvError(
-                f"measure_many disagrees with the pattern cuts at phi = {float(phi[i])!r}, "
-                f"r = {float(probes[i, j])!r}: it gives outcomes {o_got}, the segment {o_want}"
-            )
+    phi_r[n_grid:] = phi[rows]
+    got = _labels(phi_r, r, angle_1, angle_2, params)
+    want, compared = _expected_labels(grid, r[n_grid:], rows, cuts, segment_label)
+    bad = (got != want) & compared
+    if bad.any():
+        k = bad.argmax()
+        o_got, o_want = (tuple(o - 1 for o in divmod(int(x[k]), 3)) for x in (got, want))
+        raise SingletLhvError(
+            f"measure_many disagrees with the pattern cuts at phi = {float(phi_r[k])!r}, "
+            f"r = {float(r[k])!r}: it gives outcomes {o_got}, the segment {o_want}"
+        )
 
 
 @functools.lru_cache(maxsize=8)
@@ -213,10 +195,11 @@ def outcome_probabilities(
     node's r-segments come from the pattern cuts and are labelled at their
     midpoints.  r_probes sets the grid of the probe guard: per phi node,
     r_probes evenly spaced r values and both sides of every inner cut are
-    labelled by measure_many and checked against their segments, and a
-    mismatch raises SingletLhvError.  The straddles catch any cut off by
-    more than 2**-36; the grid catches a missing cut or a mislabelled
-    segment wider than 1/r_probes, 1/160 by default.
+    labelled by measure_many as one probe list and checked against their
+    segments, and a mismatch or cuts out of order raise SingletLhvError.
+    The straddles catch any cut off by more than 2**-36; the grid catches a
+    missing cut or a mislabelled segment wider than 1/r_probes, 1/160 by
+    default.
     """
     r_probes = _check_int("r_probes", r_probes, lo=16)
     gl_order = _check_int("gl_order", gl_order, lo=2)
@@ -226,13 +209,9 @@ def outcome_probabilities(
 
     edges = _breakpoints(angle_1, angle_2)
     x, wts = _gauss_legendre(gl_order)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * x + 0.5 * (hi + lo))
-        weights.append(half * wts)
-    phi_nodes = np.concatenate(nodes)
-    phi_weights = np.concatenate(weights)
+    half = 0.5 * np.diff(edges)[:, None]
+    phi_nodes = (half * x + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
+    phi_weights = (half * wts).ravel()
     n_phi = phi_nodes.size
 
     start, seg = _segments(phi_nodes, angle_1, angle_2, params)

@@ -11,6 +11,7 @@ from singlet_lhv import (
     DomainError,
     HiddenVariable,
     InfeasibleParameters,
+    InvalidConfig,
     ModelParams,
     Outcome,
     PatternKind,
@@ -482,6 +483,19 @@ class TestMeasureManyMatchesReference:
             measure(HiddenVariable(1.0, 0.01), bad, side, p)
         with pytest.raises(DomainError):
             measure_many(bad, 0.01, 0.0, side, p)
+
+    def test_side_and_params_must_be_their_types(self):
+        # A string side once gave station two's geometry with station one's
+        # signs.  The check runs once per call, so an empty call raises too.
+        p = ModelParams(0.7, 0.8, SIN)
+        for side, params in (
+            ("one", p), (1, p), (None, p), (DetectorSide.ONE, None), (DetectorSide.TWO, SIN),
+        ):
+            for phi, r in (([1.0, 4.0], [0.6, 0.3]), ([], [])):
+                with pytest.raises(InvalidConfig):
+                    measure_many(np.array(phi), np.array(r), 0.0, side, params)
+            with pytest.raises(InvalidConfig):
+                measure(HiddenVariable(1.0, 0.6), 0.0, side, params)
 
 
 class TestTiles:

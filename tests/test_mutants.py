@@ -3,7 +3,7 @@
 mutants/mutants.json lists mutants as one-text replacements, and
 mutants/kill_matrix.py records in mutants/kill_matrix.json which tier-1 tests
 and verify checks kill each one.  A refactor that moves a mutated text, or a
-mutant added without rerunning the matrix, fails here.
+mutant added or edited without rerunning the matrix, fails here.
 """
 
 import json
@@ -11,6 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = json.loads((ROOT / "mutants" / "mutants.json").read_text())["mutants"]
+MUTATION = ("file", "old", "new")
 
 
 def test_every_mutant_applies_once():
@@ -27,3 +28,7 @@ def test_kill_matrix_names_every_mutant():
     assert len(set(ids)) == len(ids)
     matrix = json.loads((ROOT / "mutants" / "kill_matrix.json").read_text())["mutants"]
     assert sorted(matrix) == sorted(ids)
+    # A mutant edited without rerunning the matrix fails here too.
+    for m in MUTANTS:
+        entry = matrix[m["id"]]
+        assert [entry.get(key) for key in MUTATION] == [m[key] for key in MUTATION], m["id"]

@@ -291,6 +291,17 @@ class TestProbeGuard:
         with pytest.raises(SingletLhvError, match="disagrees with the pattern cuts"):
             outcome_probabilities(params, 0.3, 1.3, r_probes=r_probes)
 
+    @pytest.mark.parametrize("shift", (1e-2, -1e-2, 0.3, -0.3))
+    def test_cut_out_of_order_is_caught(self, monkeypatch, shift):
+        # A cut moved past a neighbour leaves its row's cuts out of order,
+        # which the guard must report as a mismatch, not fail on inside numpy.
+        params = solve_params(0.7, 0.8, SIN)
+        segments = quadrature._segments
+        for column in range(1, 8):
+            monkeypatch.setattr(quadrature, "_segments", _cut_shifted(segments, column, shift))
+            with pytest.raises(SingletLhvError, match="disagrees with the pattern cuts"):
+                outcome_probabilities(params, 0.3, 1.3)
+
     def test_straddle_on_a_neighbouring_cut_is_skipped(self):
         # At eta = 1 - 2**-17.5 the band edge b is exactly 1/2 - 2**-36, so
         # the straddle above b lies on the half cut 1/2.  measure_many puts
@@ -358,7 +369,7 @@ _FAMILIES = ("random", "on-probes", "duplicates", "edges")
 
 
 class TestProbeMismatches:
-    """The grid and straddle checks flag exactly the probes their reference formulas flag."""
+    """The guard's expected labels flag exactly the probes the reference formulas flag."""
 
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_matches_reference_formula(self, monkeypatch, family):
@@ -368,8 +379,11 @@ class TestProbeMismatches:
         for _ in range(400):
             got, probes, cuts, segment_label = _guard_case(rng, family)
             want_ref, bad_ref = _reference_mismatches(got, probes, cuts, segment_label)
-            want, bad = quadrature._probe_mismatches(got, probes, cuts, segment_label)
-            assert np.array_equal(bad, bad_ref) and np.array_equal(want, want_ref)
+            want, compared = quadrature._expected_labels(
+                probes, np.empty(0), np.empty(0, np.intp), cuts, segment_label
+            )
+            assert np.array_equal(want, want_ref.ravel())
+            assert np.array_equal((got.ravel() != want) & compared, bad_ref.ravel())
             n_phi, r_probes = got.shape
             phi = rng.random(n_phi) * 6.0
             monkeypatch.setattr(
@@ -415,9 +429,12 @@ class TestProbeMismatches:
                 on_cut[i, j] = straddle[i, j] in cuts[i]
             flip = rng.random(straddle.shape) < 0.1
             got = np.where(flip, rng.integers(0, 9, straddle.shape), want_ref).astype(np.int8)
-            want, bad = quadrature._straddle_mismatches(got, straddle, cuts, segment_label)
-            assert np.array_equal(want[keep], want_ref[keep])
-            assert np.array_equal(bad, (got != want_ref) & keep & ~on_cut)
+            want, compared = quadrature._expected_labels(
+                np.empty(0), straddle[keep], np.nonzero(keep)[0], cuts, segment_label
+            )
+            assert np.array_equal(want, want_ref[keep])
+            bad_ref = (got != want_ref) & ~on_cut
+            assert np.array_equal((got[keep] != want) & compared, bad_ref[keep])
             on_cuts += int(on_cut.sum())
         assert on_cuts > 0
 
