@@ -364,7 +364,8 @@ def _shift_mismatches(seed: int) -> int:
     r = rng.random(n)
     mismatches = 0
     p = solve_params(0.7, 0.8, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    for alpha in (0.0, 0.3, math.pi / 3.0, 2.2, -1.7, 9.0):
+    # The last setting is far beyond one turn: _shifted_phase walks a deep ladder.
+    for alpha in (0.0, 0.3, math.pi / 3.0, 2.2, -1.7, 9.0, -1e6 - 0.3):
         shifted = np.mod(phi - alpha, TWO_PI)
         shifted[shifted >= TWO_PI] = 0.0
         for side in (DetectorSide.ONE, DetectorSide.TWO):

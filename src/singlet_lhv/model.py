@@ -115,6 +115,8 @@ class HiddenVariable:
     r: float
 
     def __post_init__(self) -> None:
+        if any(isinstance(x, (complex, np.complexfloating)) for x in (self.phi, self.r)):
+            raise InvalidConfig(f"phi and r must be real, got {self.phi!r} and {self.r!r}")
         if not (0.0 <= self.phi < TWO_PI):
             raise DomainError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
         if not (0.0 <= self.r < 1.0):
@@ -208,6 +210,22 @@ def _check_side(side) -> None:
         raise InvalidConfig(f"side must be a DetectorSide, got {side!r}")
 
 
+def _check_angle(detector_angle) -> float:
+    """detector_angle as a float, once it is known to be a finite real scalar.
+
+    A vector, complex, boolean or non-numeric setting raises InvalidConfig;
+    NaN and the infinities raise DomainError, as HiddenVariable does for a
+    phase outside [0, 2*pi).
+    """
+    value = np.asarray(detector_angle)
+    if value.ndim or value.dtype.kind not in "iuf":
+        raise InvalidConfig(f"detector_angle must be a real scalar, got {detector_angle!r}")
+    angle = float(value)
+    if not math.isfinite(angle):
+        raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
+    return angle
+
+
 def solve_params(eta: float, v: float, kind: PatternKind) -> ModelParams:
     """Solve the pattern parameters reproducing (eta, v); same as ModelParams(eta, v, kind)."""
     return ModelParams(eta, v, kind)
@@ -236,11 +254,21 @@ def _pattern_height(
 def _shifted_phase(phi: np.ndarray, detector_angle: float) -> np.ndarray:
     """(phi - detector_angle) mod 2*pi on 1-d phi, bit for bit as np.mod gives it.
 
-    np.mod(x, 2*pi) is fmod(x, 2*pi), plus 2*pi when that is negative.  fmod
-    is exact and returns x itself when |x| < 2*pi, so it runs only when some
-    |x| reaches 2*pi, which never happens while phi and the setting both lie
-    in [0, 2*pi).  Only when that range test fails are the same minimum and
-    maximum checked for NaN and infinities, which raise DomainError.
+    np.mod(x, 2*pi) is the truncated remainder fmod(x, 2*pi), plus 2*pi when
+    that is negative.  While phi and the setting both lie in [0, 2*pi) every
+    |x| < 2*pi is its own remainder, and the range test on the minimum and
+    maximum skips the reduction.  Only when that test fails are the same two
+    values checked for NaN and infinities, which raise DomainError.
+
+    Otherwise the remainder is taken by a ladder of exact subtractions, and
+    no libm call remains.  For each step s = 2**k * 2*pi, from the largest
+    s <= max|x| down to 2*pi, subtract s where x >= s and add s where
+    x <= -s; a rung that no element reaches on a side is skipped.  Each
+    rung receives |x| < 2*s, and by the Sterbenz lemma (s <= |x| <= 2*s
+    makes |x| - s exact) it leaves |x| < s, exactly and with the sign of x
+    or zero.  So the ladder ends on x - n*2*pi inside (-2*pi, 2*pi), which
+    is fmod's result bit for bit but for the sign of a zero, and adding
+    +0.0 below clears that sign in either case.
     """
     out = np.subtract(phi, detector_angle)
     if out.size:
@@ -252,7 +280,15 @@ def _shifted_phase(phi: np.ndarray, detector_angle: float) -> np.ndarray:
                     "phi - detector_angle must be finite, got values in "
                     f"[{float(lo)!r}, {float(hi)!r}]"
                 )
-            np.fmod(out, TWO_PI, out=out)
+            reach, step = max(-lo, hi), TWO_PI
+            while step + step <= reach:
+                step += step
+            while step >= TWO_PI:
+                if hi >= step:
+                    out -= step * (out >= step)
+                if lo <= -step:
+                    out += step * (out <= -step)
+                step *= 0.5
     out += TWO_PI * (out < 0.0)
     # A tiny negative remainder plus 2*pi can round up to exactly 2*pi.
     out[out >= TWO_PI] = 0.0
@@ -273,12 +309,13 @@ def measure_many(
     """Vectorized detector response, returning an int8 array in {-1, 0, +1}.
 
     phi and r hold the hidden variables and broadcast against each other; a
-    0-d pair gives a 0-d result.  detector_angle may be any real and is
-    reduced mod 2*pi; a NaN or infinite phase or angle raises DomainError,
-    as HiddenVariable does for measure().  A side that is not a DetectorSide
-    or params that are not a ModelParams raise InvalidConfig, as in
-    measure().  Event by event the result equals measure(), the plain-Python
-    reference, bit for bit.
+    0-d pair gives a 0-d result.  detector_angle may be any real scalar, and
+    _shifted_phase reduces phi - detector_angle mod 2*pi exactly, without
+    libm.  A NaN or infinite phase or angle raises DomainError, as
+    HiddenVariable does for measure().  A setting that is not a real scalar,
+    complex phi or r, a side that is not a DetectorSide or params that are
+    not a ModelParams raise InvalidConfig, as in measure().  Event by event
+    the result equals measure(), the plain-Python reference, bit for bit.
 
     A symmetrized station evaluates its pattern only on its own r-half.  The
     constant detection band of the other half is decided for the whole array
@@ -295,6 +332,10 @@ def measure_many(
     """
     _check_side(side)
     _check_params(params)
+    detector_angle = _check_angle(detector_angle)
+    phi, r = np.asarray(phi), np.asarray(r)
+    if phi.dtype.kind == "c" or r.dtype.kind == "c":
+        raise InvalidConfig("phi and r must be real, got a complex array")
     phi = np.asarray(phi, dtype=float)
     r = np.asarray(r, dtype=float)
     if phi.shape != r.shape:
@@ -379,8 +420,9 @@ def measure(
     This is the reference that measure_many is tested against.  It uses
     Python floats and the math module and shares no code with measure_many
     beyond the input checks.  A non-finite detector_angle raises DomainError,
-    as HiddenVariable does for a phase outside [0, 2*pi); a side that is not
-    a DetectorSide or params that are not a ModelParams raise InvalidConfig.
+    as HiddenVariable does for a phase outside [0, 2*pi); a setting that is
+    not a real scalar, a side that is not a DetectorSide or params that are
+    not a ModelParams raise InvalidConfig.
     With pp the shifted phase, t = pp mod pi, and r_pat and r_band the
     offsets of r into the pattern half and the band half, the boundary
     conventions are:
@@ -399,8 +441,7 @@ def measure(
     """
     _check_side(side)
     _check_params(params)
-    if not math.isfinite(detector_angle):
-        raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
+    detector_angle = _check_angle(detector_angle)
     a, b, c = params.a, params.b, params.c
     pp = (lam.phi - detector_angle) % TWO_PI
     if pp >= TWO_PI:

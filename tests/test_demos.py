@@ -95,7 +95,7 @@ def test_public_surface():
 # so the ModelParams check sits next to ModelParams.
 CHECK_HOMES = {
     "_check_int": "errors", "_check_finite": "errors", "_check_unit": "errors",
-    "_check_params": "model", "_check_side": "model",
+    "_check_params": "model", "_check_side": "model", "_check_angle": "model",
 }
 
 

@@ -22,7 +22,7 @@ from singlet_lhv import (
     solve_params,
     unsymmetrized_marginals,
 )
-from singlet_lhv.model import _TILE, FRONTIER_TOL, TWO_PI, _pattern_height
+from singlet_lhv.model import _TILE, FRONTIER_TOL, TWO_PI, _pattern_height, _shifted_phase
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -401,7 +401,9 @@ def _edge_examples(test):
     pattern with events at shifted phase pi/2 and r in (w, cap]: the error
     band is + on t in (0, pi/2], closed at pi/2.  On station two: the
     unsymmetrized pattern with detected events at shifted phase pi and one
-    ulp either side of it: the + half is [pi, 2*pi), closed at pi.
+    ulp either side of it: the + half is [pi, 2*pi), closed at pi.  On
+    station one: settings far beyond one turn, +-(1e6 + 0.3) and -3e17,
+    whose shifted phases _shifted_phase reduces down a deep ladder.
     """
     step = ModelParams(0.75, 1.0, LINE)
     step_phis = [k * 0.25 * math.pi for k in (1, 3, 5, 7)]
@@ -412,6 +414,10 @@ def _edge_examples(test):
     for side, offset in ((DetectorSide.ONE, 0.0), (DetectorSide.TWO, 0.5)):
         test = example((step, side, 0.0, step_phis, [offset + step_r] * 4))(test)
         test = example((band, side, 0.0, [0.5 * math.pi] * 2, [offset + r for r in band_rs]))(test)
+    far_phis = [0.0, 0.5 * math.pi, 2.0, math.pi, 4.0, 5.5, math.nextafter(TWO_PI, 0.0)]
+    far_rs = [0.01, 0.5 * band.a, band.a, 0.6, 0.5 + band.b, 0.02, 0.1]
+    for angle in (1e6 + 0.3, -(1e6 + 0.3), -3e17):
+        test = example((band, DetectorSide.ONE, angle, far_phis, far_rs))(test)
     unsym = ModelParams(0.7, 1.0, UNSYM)
     at_pi = [math.nextafter(math.pi, 0.0), math.pi, math.nextafter(math.pi, 4.0)]
     return example((unsym, DetectorSide.TWO, 0.0, at_pi, [0.5 * unsym.b] * 3))(test)
@@ -497,6 +503,77 @@ class TestMeasureManyMatchesReference:
             with pytest.raises(InvalidConfig):
                 measure(HiddenVariable(1.0, 0.6), 0.0, side, params)
 
+    @pytest.mark.parametrize("bad", [
+        np.array([0.0, 3.0]), [0.0], 1j, complex(0.3, 0.0), None, "0.3", True,
+    ], ids=["vector", "list", "imaginary", "complex", "none", "string", "bool"])
+    def test_setting_must_be_a_real_scalar(self, bad):
+        # A vector setting was once applied element by element, and a complex
+        # one answered as if it were real.  The check runs once per call.
+        p = ModelParams(0.7, 0.8, SIN)
+        for side in DetectorSide:
+            for phi, r in (([1.0, 2.0], [0.1, 0.6]), ([], [])):
+                with pytest.raises(InvalidConfig):
+                    measure_many(np.array(phi), np.array(r), bad, side, p)
+            with pytest.raises(InvalidConfig):
+                measure(HiddenVariable(1.0, 0.1), bad, side, p)
+
+    @pytest.mark.parametrize("which", ["phi", "r"])
+    @pytest.mark.parametrize("value", [complex(1.0, 0.0), complex(0.3, 0.2)])
+    def test_complex_phase_or_r_is_rejected(self, which, value):
+        # measure_many once dropped the imaginary part with a ComplexWarning.
+        p = ModelParams(0.7, 0.8, SIN)
+        events = {"phi": [1.0, 4.0], "r": [0.3, 0.1]}
+        events[which][0] = value
+        for side in DetectorSide:
+            with pytest.raises(InvalidConfig):
+                measure_many(np.array(events["phi"]), np.array(events["r"]), 0.4, side, p)
+            with pytest.raises(InvalidConfig):
+                measure_many(events["phi"][0], events["r"][0], 0.4, side, p)
+            with pytest.raises(InvalidConfig):
+                measure(HiddenVariable(events["phi"][0], events["r"][0]), 0.4, side, p)
+
+
+def _mod_reference(x):
+    """np.mod(x, 2*pi) with a result of 2*pi mapped to 0."""
+    want = np.mod(x, TWO_PI)
+    want[want >= TWO_PI] = 0.0
+    return want
+
+
+class TestShiftedPhase:
+    """_shifted_phase's ladder equals np.mod bit for bit, far beyond one turn."""
+
+    @staticmethod
+    def _assert_matches_mod(x):
+        x = np.array(x, dtype=float)
+        got = _shifted_phase(x, 0.0)
+        assert got.view(np.int64).tolist() == _mod_reference(x).view(np.int64).tolist()
+
+    def test_multiples_of_two_pi_and_their_neighbours(self):
+        ks = {2**j + d for j in range(41) for d in (-1, 0, 1)} | {3, 5, 7, 1000, 2**40}
+        ks |= set(np.random.Generator(np.random.Philox(key=25)).integers(1, 2**40, 64).tolist())
+        turns = np.array(sorted(k * TWO_PI for k in ks if 1 <= k <= 2**40))
+        turns = np.concatenate([turns, -turns])
+        self._assert_matches_mod(np.concatenate([
+            turns, np.nextafter(turns, -np.inf), np.nextafter(turns, np.inf),
+        ]))
+
+    def test_zeros_subnormals_and_huge_values(self):
+        self._assert_matches_mod([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+        for x in (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300):
+            self._assert_matches_mod([x])
+
+    def test_tile_beyond_two_pi_on_both_signs(self):
+        u = np.random.Generator(np.random.Philox(key=26)).random(_TILE)
+        self._assert_matches_mod(100.0 * (2.0 * u - 1.0))
+        self._assert_matches_mod(np.ldexp(2.0 * u - 1.0, np.arange(_TILE) % 64))
+
+    @pytest.mark.parametrize("far", [3e17, -3e17, 2.0 * TWO_PI, -TWO_PI])
+    def test_one_element_out_of_range(self, far):
+        x = np.linspace(-6.0, 6.0, 101)
+        x[37] = far
+        self._assert_matches_mod(x)
+
 
 class TestTiles:
     """Inputs on either side of _TILE events match measure() event by event."""
@@ -507,7 +584,7 @@ class TestTiles:
         phis, rs = (TWO_PI * u[:, 0]).tolist(), u[:, 1].tolist()
         for kind, eta, v in _REFERENCE_POINTS[:3]:
             p = ModelParams(eta, v, kind)
-            # The second angle needs fmod in every slice.
+            # The second angle lies beyond two turns, so every slice is reduced.
             for angle, side in ((0.3, DetectorSide.ONE), (2.0 + 4.0 * math.pi, DetectorSide.TWO)):
                 _assert_matches_reference(phis, rs, angle, side, p)
 
@@ -523,7 +600,7 @@ class TestTiles:
         ]
         assert got.ravel().tolist() == want
 
-    def test_fmod_needed_in_one_tile_only(self):
+    def test_reduction_needed_in_one_tile_only(self):
         # With the setting at -1, phi - angle reaches 2*pi only where
         # phi >= 2*pi - 1, and only the second slice holds such phases.
         p = ModelParams(0.7, 0.8, SIN)
