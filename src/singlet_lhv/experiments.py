@@ -422,8 +422,9 @@ def _unsym_z(sample) -> float:
 
 
 def _determinism_diffs(seed: int) -> int:
-    # Chunks of one measure_many tile: 13 of them, the last partial, so every
-    # worker count here splits the run.
+    # 16,384-pair chunks: 13 of them, the last partial, so every worker count
+    # here splits the run.  The size is fixed, not a measure_many tile, so the
+    # pinned verify output does not move with the tile.
     p = solve_params(0.7, 0.8, PatternKind.SYMMETRIZED_SINUSOIDAL)
     cfg = RunConfig(
         params=p, angle_1=0.2, angle_2=1.5,

@@ -69,9 +69,13 @@ SQRT2 = math.sqrt(2.0)
 #: Height of the outer staircase steps relative to the inner one.
 STAIRCASE_OUTER_LEVEL = SQRT2 - 1.0
 
-#: Events measure_many evaluates at a time, sized so that one slice's
-#: temporaries fit in a 2 MiB L2 cache.
-_TILE = 1 << 14
+#: Events measure_many evaluates at a time.  Each numpy call in a slice
+#: releases the GIL and takes it back, so at two sampler threads a larger
+#: slice means fewer contended handoffs per pair: 2**15 halves them against
+#: 2**14.  The kernels keep about 19 bytes of temporaries per event, so a
+#: slice's peak stays near 600 KiB, inside L2 and below the heap growth at
+#: which glibc trims and the quadrature oracle faults its pages back in.
+_TILE = 1 << 15
 
 #: Absolute slack granted when comparing against the feasibility frontier,
 #: applied in the scaled units of K*v vs 4/eta - 2.  Only _infeasibility
@@ -172,8 +176,14 @@ class ModelParams:
     Construction raises DegeneratePoint at eta = v = 1 for the symmetrized
     kinds and InfeasibleParameters at every other point outside the feasible
     region.  The heights a, b and c are solved from (eta, v) and are not
-    constructor arguments.  On a feasible point a <= b <= 1/2 holds, because
-    b - a = eta**2/4 * (4/eta - 2 - K*v).
+    constructor arguments.  On a feasible point b <= 1/2, and a <= b holds
+    up to slack, because b - a = eta**2/4 * (4/eta - 2 - K*v) in exact
+    arithmetic.  The slack is twofold.  Rounding a and b can leave a above b
+    on the frontier itself: at max_visibility(eta, kind) over 20,000 eta,
+    a exceeds b at 1,436 sinusoidal and 1,153 staircase points, by one or
+    two ulps (2.4e-16 relative).  And a point up to FRONTIER_TOL beyond the
+    frontier is feasible, where a may exceed b by eta**2/4 * FRONTIER_TOL.
+    No height is adjusted for either.
     """
 
     eta: float
@@ -232,20 +242,38 @@ def solve_params(eta: float, v: float, kind: PatternKind) -> ModelParams:
 
 
 def _half_phase(pp: np.ndarray) -> np.ndarray:
-    """The phase within its half-period: pp on [0, pi), pp - pi on [pi, 2*pi)."""
-    return pp - math.pi * (pp >= math.pi)
+    """The phase within its half-period: pp on [0, pi), pp - pi on [pi, 2*pi).
+
+    Written as -pi * (pp >= pi) + pp, one new array and no float temporary;
+    pp + (-pi) is pp - pi, and pp + (-0.0) is pp.  By the Sterbenz lemma
+    pp - pi is exact on [pi, 2*pi), so t > 0 holds exactly where pp is
+    neither 0 nor pi.
+    """
+    t = np.multiply(pp >= math.pi, -math.pi)
+    t += pp
+    return t
 
 
 def _pattern_height(
-    kind: PatternKind, a: float, phi: np.ndarray, t: np.ndarray | None = None
+    kind: PatternKind,
+    a: float,
+    phi: np.ndarray,
+    t: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """w at the 1-d phases phi; t is _half_phase(phi), which the staircase needs."""
+    """w at the 1-d phases phi, written into out when given (it may be phi).
+
+    t is _half_phase(phi), which the staircase needs.
+    """
     if kind is PatternKind.SYMMETRIZED_STAIRCASE:
         if t is None:
             t = _half_phase(phi)
         inner = (t > 0.25 * math.pi) & (t < 0.75 * math.pi)
-        return np.where(inner, a, a * STAIRCASE_OUTER_LEVEL)
-    w = np.sin(phi)
+        # a on the inner step, else max(0.0, a * outer level): exact, and a
+        # pass each with no float temporary.
+        w = np.multiply(inner, a, out=out)
+        return np.maximum(w, a * STAIRCASE_OUTER_LEVEL, out=w)
+    w = np.sin(phi, out=out)
     np.abs(w, out=w)
     w *= a
     return w
@@ -325,10 +353,14 @@ def measure_many(
     unsymmetrized station one evaluates its core only where r <= a.  The
     float operations per event are those of measure().
 
-    The events are worked through in slices of at most _TILE into one
-    preallocated result, so that a slice's temporaries stay in cache.
-    Every step acts on each event alone, so the slices give the result of
-    one pass bit for bit; a non-finite phase in any slice raises.
+    The events are worked through in slices of at most _TILE, each written
+    by its kernel straight into one preallocated result.  A slice is large
+    enough that two sampler threads seldom wait on each other's GIL
+    handoffs, and each kernel frees its whole-slice arrays before it works
+    on the gathered events, so a slice's temporaries stay near 19 bytes per
+    event (see _TILE).  Every step acts on each event alone, so the slices
+    give the result of one pass bit for bit; a non-finite phase in any
+    slice raises.
     """
     _check_side(side)
     _check_params(params)
@@ -350,63 +382,90 @@ def measure_many(
     out = np.empty(phi.size, dtype=np.int8)
     for lo in range(0, phi.size, _TILE):
         tile = slice(lo, lo + _TILE)
-        out[tile] = kernel(_shifted_phase(phi[tile], detector_angle), r[tile], side, params)
+        kernel(out[tile], phi[tile], r[tile], detector_angle, side, params)
     return out.reshape(shape)
 
 
 def _unsymmetrized(
-    pp: np.ndarray, r: np.ndarray, side: DetectorSide, params: ModelParams
-) -> np.ndarray:
+    out: np.ndarray, phi: np.ndarray, r: np.ndarray, detector_angle: float,
+    side: DetectorSide, params: ModelParams,
+) -> None:
     a, b = params.a, params.b
+    pp = _shifted_phase(phi, detector_angle)
     if side is DetectorSide.TWO:
         hit = r < b
-        return _i8(hit & (pp >= math.pi)) - _i8(hit & (pp < math.pi))
+        np.subtract(_i8(hit & (pp >= math.pi)), _i8(hit & (pp < math.pi)), out=out)
+        return
     # Station one is a core over the whole r-interval, and w <= a.
-    out = np.zeros(pp.shape, dtype=np.int8)
+    out.fill(0)
     core = np.flatnonzero(r <= a)
     p = pp[core]
-    hit = r[core] <= _pattern_height(params.kind, a, p)
-    out[core] = _i8(hit & (p > 0.0) & (p < math.pi)) - _i8(hit & (p > math.pi))
-    return out
+    del pp
+    plus = (p > 0.0) & (p < math.pi)
+    minus = p > math.pi
+    hit = r[core] <= _pattern_height(params.kind, a, p, out=p)
+    out[core] = _i8(plus & hit) - _i8(minus & hit)
+
+
+def _upper_edge(height: float) -> float:
+    """The least float not below 0.5 + height, for height in [0, 1/2].
+
+    x - 0.5 is exact for x in [1/2, 1] (Sterbenz), so on r >= 1/2 the test
+    r - 0.5 < height is r < _upper_edge(height), and needs no float array.
+    """
+    edge = 0.5 + height
+    return edge if edge - 0.5 >= height else math.nextafter(edge, math.inf)
 
 
 def _symmetrized(
-    pp: np.ndarray, r: np.ndarray, side: DetectorSide, params: ModelParams
-) -> np.ndarray:
+    out: np.ndarray, phi: np.ndarray, r: np.ndarray, detector_angle: float,
+    side: DetectorSide, params: ModelParams,
+) -> None:
     a, b, c = params.a, params.b, params.c
     band_c, keep = b * c, 1.0 - c
     # Rounding is monotone and |sin| <= 1, so every w <= a and every
     # cap <= band_c + keep * a: a pattern-half event above `reach` is never
     # detected and needs no evaluation.
     reach = max(a, band_c + keep * a)
+    pp = _shifted_phase(phi, detector_angle)
     low = r < 0.5
     if side is DetectorSide.ONE:
-        band = ~low & (r - 0.5 < b)
+        band = ~low & (r < _upper_edge(b))
         pattern = np.flatnonzero(low & (r <= reach))
-        r_pat = r[pattern]
     else:
         band = low & (r < b)
-        r_pat = r - 0.5
-        pattern = np.flatnonzero(~low & (r_pat <= reach))
-        r_pat = r_pat[pattern]
-    out = _i8(band & (pp < math.pi)) - _i8(band & (pp >= math.pi))
-
+        # No float r with r - 0.5 <= reach lies above 0.5 + reach rounded,
+        # and an event admitted above reach is evaluated and not detected.
+        pattern = np.flatnonzero(~low & (r <= 0.5 + reach))
+    plus = band & (pp < math.pi)
+    np.add(_i8(plus), _i8(plus), out=out)
+    out -= _i8(band)
+    # Only the gathered pattern-half events go on; the whole-slice arrays
+    # are freed first, so the slice's peak memory stays _shifted_phase's.
+    del low, band, plus
     p = pp[pattern]
+    del pp
+    r_pat = r[pattern]
+    if side is DetectorSide.TWO:
+        r_pat -= 0.5
+
+    first = p < math.pi
     t = _half_phase(p)
-    w = _pattern_height(params.kind, a, p, t)
-    cap = w * keep
+    w = _pattern_height(params.kind, a, p, t, out=p)
+    is_open = t > 0.0
+    quarter = is_open & (t <= HALF_PI)
+    core = (r_pat <= w) & is_open
+    cap = w  # w is not read again, so the cap takes its array
+    cap *= keep
     cap += band_c
-    core = (r_pat <= w) & (p > 0.0) & (p != math.pi)
     hit = core | (r_pat <= cap)
-    quarter = (t > 0.0) & (t <= HALF_PI)
     # The sign is + where the core is on (0, pi) or the error band on a
-    # first or third quarter-period: core ? p < pi : quarter.
-    plus = (((p < math.pi) ^ quarter) & core) ^ quarter
+    # first or third quarter-period: core ? pp < pi : quarter.
+    plus = ((first ^ quarter) & core) ^ quarter
     plus &= hit
     out[pattern] = _i8(plus) + _i8(plus) - _i8(hit)
     if side is DetectorSide.TWO:
         np.negative(out, out=out)
-    return out
 
 
 def measure(

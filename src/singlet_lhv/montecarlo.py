@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import _MASK64, EmptyTally, InvalidConfig, _check_finite, _check_int
 from .model import TWO_PI, DetectorSide, ModelParams, _check_params, measure_many
+from .model import _check_angle
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -81,6 +82,9 @@ class RunConfig:
         _check_params(self.params)
         _check_finite("angle_1", self.angle_1)
         _check_finite("angle_2", self.angle_2)
+        # A bool or a Fraction is finite, but measure_many takes no such setting.
+        _check_angle(self.angle_1)
+        _check_angle(self.angle_2)
 
     @property
     def n_chunks(self) -> int:

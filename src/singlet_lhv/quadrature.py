@@ -39,7 +39,7 @@ import numpy as np
 from .analytic import ProbQuad
 from .errors import SingletLhvError, _check_finite, _check_int
 from .model import TWO_PI, DetectorSide, ModelParams, PatternKind, measure_many
-from .model import _check_params, _pattern_height, _shifted_phase
+from .model import _check_angle, _check_params, _pattern_height, _shifted_phase
 
 #: A straddle probe's offsets from its cut: far above the rounding of
 #: 1/2 + w, 2**-54 or less, and far below verify's 1e-9 cell tolerance, so
@@ -206,6 +206,9 @@ def outcome_probabilities(
     _check_params(params)
     _check_finite("angle_1", angle_1)
     _check_finite("angle_2", angle_2)
+    # A bool or a Fraction is finite, but measure_many takes no such setting.
+    _check_angle(angle_1)
+    _check_angle(angle_2)
 
     edges = _breakpoints(angle_1, angle_2)
     x, wts = _gauss_legendre(gl_order)

@@ -20,7 +20,6 @@ from singlet_lhv import (
 )
 from singlet_lhv import montecarlo
 from singlet_lhv.experiments import MIN_VERIFY_PAIRS, SweepRow
-from singlet_lhv.model import _TILE
 from singlet_lhv.montecarlo import binomial_se, correlation_se, zscore
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
@@ -251,8 +250,7 @@ class TestVerifySuite:
     def test_determinism_check_splits_its_run_at_every_worker_count(self, monkeypatch):
         # The check compares one run at 1, 3 and 7 workers.  It can tell a
         # scheduler fault only if the run has more chunks than 7 and ends in
-        # a partial chunk; chunks of at least one measure_many tile keep its
-        # measure_many calls few.
+        # a partial chunk.
         calls = []
         run_many = montecarlo.run_many
 
@@ -269,6 +267,8 @@ class TestVerifySuite:
         ]
         assert sorted(workers or 1 for _, workers in runs) == [1, 1, 3, 7]
         (cfg,) = {cfg for cfg, _ in runs}
-        assert cfg.chunk_size >= _TILE
+        # More chunks than the largest worker count, a partial last chunk,
+        # and the 16,384-pair chunks that the pinned verify output holds.
         assert cfg.n_chunks > 7
         assert cfg.n_pairs % cfg.chunk_size != 0
+        assert cfg.chunk_size == 16_384
