@@ -102,19 +102,13 @@ class TestJointTable:
         for a1, a2 in (
             (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
             ("0", 1.0), (None, 1.0), (0.0, 1j),
+            # Finite, but no setting measure_many takes.
+            (True, 1.0), (0.0, np.bool_(False)), (Fraction(1, 3), 1.0), (0.0, Fraction(1, 3)),
         ):
             with pytest.raises(InvalidConfig):
                 outcome_probabilities(p, a1, a2)
         with pytest.raises(InvalidConfig):
             outcome_probabilities(None, 0.0, 1.0)
-
-    @pytest.mark.parametrize("value", [True, np.bool_(False), Fraction(1, 3)])
-    def test_rejects_settings_that_are_finite_but_not_real_scalars(self, value):
-        # Each passes a finite test; a Fraction used to reach np.sin as an object.
-        p = solve_params(0.7, 0.8, SIN)
-        for a1, a2 in ((value, 1.0), (0.0, value)):
-            with pytest.raises(InvalidConfig):
-                outcome_probabilities(p, a1, a2)
 
 
 class TestInterface:
