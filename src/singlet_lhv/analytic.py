@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_unit
+from .errors import _REALS, DomainError, _check_real, _check_type, _check_unit
 from .model import (
     HALF_PI,
     SQRT2,
@@ -140,7 +140,9 @@ def line_g(theta):
 
 
 def _correlation_shape(theta, kind: PatternKind):
-    scalar = np.ndim(theta) == 0
+    _check_type("kind", kind, PatternKind)
+    scalar = isinstance(theta, _REALS)
+    theta = _check_real("theta", theta, array=not scalar)
     if not (math.isfinite(theta) if scalar else np.all(np.isfinite(theta))):
         raise DomainError(f"theta must be finite, got {theta!r}")
     # cos is even and periodic already; only the interpolated shape needs
@@ -149,7 +151,7 @@ def _correlation_shape(theta, kind: PatternKind):
         return line_g(theta)
     if scalar:
         return math.cos(theta)
-    return np.cos(np.asarray(theta, dtype=float))
+    return np.cos(theta)
 
 
 def _coincidence_cells(theta, v: float, kind: PatternKind, rate: float):
@@ -186,6 +188,7 @@ def joint_table(params: ModelParams, theta: float) -> np.ndarray:
     hold no detection.  The unsymmetrized kind detects at rate 2a/pi on
     station one, which never fires alone, and at rate b on station two.
     """
+    theta = _check_real("theta", theta)  # one table, so one angle
     if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
         rate, rate_2 = unsymmetrized_marginals(params.a, params.b)
         single_1, single_2, none = 0.0, 0.5 * (rate_2 - rate), 1.0 - rate_2
@@ -239,6 +242,7 @@ def bell_generalized_slack(
 
 def max_visibility(eta: float, kind: PatternKind) -> float:
     """Largest visibility the kind reaches at efficiency eta, capped at 1."""
+    _check_type("kind", kind, PatternKind)
     return min(1.0, chsh_bound(eta) / kind.amplitude_constant)
 
 

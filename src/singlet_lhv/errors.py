@@ -1,13 +1,14 @@
-"""Exception types shared across the package, and the checks of plain inputs.
+"""Exception types shared across the package, and the checks of plain inputs."""
 
-ModelParams is checked by model._check_params, since model imports this module.
-"""
-
-import math
 import operator
+
+import numpy as np
 
 #: 2**64 - 1: the largest integer _check_int accepts, and the SplitMix64 mask.
 _MASK64 = (1 << 64) - 1
+
+#: The real scalar types _check_real passes; bool, a subclass of int, it refuses.
+_REALS = (int, float, np.integer, np.floating)
 
 
 class SingletLhvError(Exception):
@@ -49,18 +50,35 @@ def _check_int(name: str, value, lo: int = 0) -> int:
     return number
 
 
-def _check_finite(name: str, value) -> None:
-    """Raise InvalidConfig unless value is a finite real number."""
+def _check_real(name: str, value, array: bool = False):
+    """value as a float, or as a float ndarray if array: the one rule for real input.
+
+    Python and numpy ints and floats pass, and so does a 0-d array of them;
+    with array set, so does an array or list of them of any shape.  A bool,
+    complex, str, None, Fraction or other object, or an array where a scalar
+    is due, raises InvalidConfig.  Each caller applies its own domain test.
+    """
+    if not array and isinstance(value, _REALS) and not isinstance(value, bool):
+        return float(value)
     try:
-        finite = math.isfinite(value)
-    except TypeError:
-        finite = False
-    if not finite:
-        raise InvalidConfig(f"{name} must be a finite real number, got {value!r}")
+        values = np.asarray(value)
+    except ValueError:  # a ragged list
+        values = np.asarray(None)
+    if values.dtype.kind not in "iuf" or not (array or values.ndim == 0):
+        kind = "real numbers" if array else "a real number"
+        raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
+    return values.astype(float, copy=False) if array else float(values)
+
+
+def _check_type(name: str, value, cls: type) -> None:
+    """Raise InvalidConfig unless value is a cls."""
+    if not isinstance(value, cls):
+        raise InvalidConfig(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def _check_unit(name: str, x: float, positive: bool = False) -> None:
-    """Raise DomainError unless x lies in [0, 1], or in (0, 1] if positive."""
+    """Raise DomainError unless x, a real number, lies in [0, 1], or in (0, 1] if positive."""
+    x = _check_real(name, x)
     if not ((0.0 < x if positive else 0.0 <= x) and x <= 1.0):
         interval = "(0, 1]" if positive else "[0, 1]"
         raise DomainError(f"{name} must lie in {interval}, got {x!r}")

@@ -59,8 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePoint, DomainError, InfeasibleParameters, InvalidConfig
-from .errors import SingletLhvError, _check_unit
+from .errors import DegeneratePoint, DomainError, InfeasibleParameters
+from .errors import SingletLhvError, _check_real, _check_type, _check_unit
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -113,17 +113,15 @@ class Outcome(enum.Enum):
 
 @dataclass(frozen=True)
 class HiddenVariable:
-    """One shared hidden variable lam = (phi, r)."""
+    """One shared hidden variable lam = (phi, r), each checked by errors._check_real."""
 
     phi: float
     r: float
 
     def __post_init__(self) -> None:
-        if any(isinstance(x, (complex, np.complexfloating)) for x in (self.phi, self.r)):
-            raise InvalidConfig(f"phi and r must be real, got {self.phi!r} and {self.r!r}")
-        if not (0.0 <= self.phi < TWO_PI):
+        if not (0.0 <= _check_real("phi", self.phi) < TWO_PI):
             raise DomainError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
-        if not (0.0 <= self.r < 1.0):
+        if not (0.0 <= _check_real("r", self.r) < 1.0):
             raise DomainError(f"r must lie in [0, 1), got {self.r!r}")
 
 
@@ -133,17 +131,25 @@ def chsh_bound(eta: float) -> float:
     It is also the cap on K*v in every pattern frontier.
     """
     _check_unit("eta", eta, positive=True)
+    return _chsh_bound(eta)
+
+
+def _chsh_bound(eta: float) -> float:
+    """chsh_bound for an eta already checked."""
     return 4.0 / eta - 2.0
 
 
 def _infeasibility(eta: float, v: float, kind: PatternKind) -> SingletLhvError | None:
     """The error a pattern at (eta, v, kind) raises, or None when it exists.
 
-    This is the package's one feasibility rule.  In order: both values must
-    lie in [0, 1] (NaN never does); the unsymmetrized kind needs v == 1; the
-    symmetrized kinds exclude the corner eta = v = 1; and every eta > 0 must
-    satisfy the frontier K*v <= 4/eta - 2 + FRONTIER_TOL.
+    This is the package's one feasibility rule.  A wrong type raises
+    InvalidConfig.  In order: both values must lie in [0, 1] (NaN never
+    does); the unsymmetrized kind needs v == 1; the symmetrized kinds
+    exclude the corner eta = v = 1; and every eta > 0 must satisfy the
+    frontier K*v <= 4/eta - 2 + FRONTIER_TOL.
     """
+    eta, v = _check_real("eta", eta), _check_real("v", v)
+    _check_type("kind", kind, PatternKind)
     if not (0.0 <= eta <= 1.0):
         return InfeasibleParameters(f"eta must lie in [0, 1], got {eta!r}")
     if not (0.0 <= v <= 1.0):
@@ -155,7 +161,7 @@ def _infeasibility(eta: float, v: float, kind: PatternKind) -> SingletLhvError |
         )
     if symmetrized and eta == 1.0 and v == 1.0:
         return DegeneratePoint("eta = v = 1 leaves the error-band weight undefined")
-    bound = chsh_bound(eta) if eta > 0.0 else math.inf
+    bound = _chsh_bound(eta) if eta > 0.0 else math.inf
     if not kind.amplitude_constant * v <= bound + FRONTIER_TOL:
         return InfeasibleParameters(
             f"(eta, v) = ({eta!r}, {v!r}) violates "
@@ -206,34 +212,6 @@ class ModelParams:
         object.__setattr__(self, "a", 0.25 * self.kind.amplitude_constant * v * eta * eta)
         object.__setattr__(self, "b", eta - 0.5 * eta * eta)
         object.__setattr__(self, "c", c)
-
-
-def _check_params(params) -> None:
-    """Raise InvalidConfig unless params is a ModelParams."""
-    if not isinstance(params, ModelParams):
-        raise InvalidConfig(f"params must be ModelParams, got {params!r}")
-
-
-def _check_side(side) -> None:
-    """Raise InvalidConfig unless side is a DetectorSide."""
-    if not isinstance(side, DetectorSide):
-        raise InvalidConfig(f"side must be a DetectorSide, got {side!r}")
-
-
-def _check_angle(detector_angle) -> float:
-    """detector_angle as a float, once it is known to be a finite real scalar.
-
-    A vector, complex, boolean or non-numeric setting raises InvalidConfig;
-    NaN and the infinities raise DomainError, as HiddenVariable does for a
-    phase outside [0, 2*pi).
-    """
-    value = np.asarray(detector_angle)
-    if value.ndim or value.dtype.kind not in "iuf":
-        raise InvalidConfig(f"detector_angle must be a real scalar, got {detector_angle!r}")
-    angle = float(value)
-    if not math.isfinite(angle):
-        raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
-    return angle
 
 
 def solve_params(eta: float, v: float, kind: PatternKind) -> ModelParams:
@@ -337,13 +315,12 @@ def measure_many(
     """Vectorized detector response, returning an int8 array in {-1, 0, +1}.
 
     phi and r hold the hidden variables and broadcast against each other; a
-    0-d pair gives a 0-d result.  detector_angle may be any real scalar, and
-    _shifted_phase reduces phi - detector_angle mod 2*pi exactly, without
-    libm.  A NaN or infinite phase or angle raises DomainError, as
-    HiddenVariable does for measure().  A setting that is not a real scalar,
-    complex phi or r, a side that is not a DetectorSide or params that are
-    not a ModelParams raise InvalidConfig, as in measure().  Event by event
-    the result equals measure(), the plain-Python reference, bit for bit.
+    0-d pair gives a 0-d result.  phi, r and the setting pass errors'
+    real-number rule, _check_real, and a non-finite setting or phase raises
+    DomainError; r is not range-checked.  _shifted_phase reduces
+    phi - detector_angle mod 2*pi exactly, without libm.  Side and params
+    are checked as in measure().  Event by event the result equals
+    measure(), the plain-Python reference, bit for bit.
 
     A symmetrized station evaluates its pattern only on its own r-half.  The
     constant detection band of the other half is decided for the whole array
@@ -362,14 +339,12 @@ def measure_many(
     give the result of one pass bit for bit; a non-finite phase in any
     slice raises.
     """
-    _check_side(side)
-    _check_params(params)
-    detector_angle = _check_angle(detector_angle)
-    phi, r = np.asarray(phi), np.asarray(r)
-    if phi.dtype.kind == "c" or r.dtype.kind == "c":
-        raise InvalidConfig("phi and r must be real, got a complex array")
-    phi = np.asarray(phi, dtype=float)
-    r = np.asarray(r, dtype=float)
+    _check_type("side", side, DetectorSide)
+    _check_type("params", params, ModelParams)
+    detector_angle = _check_real("detector_angle", detector_angle)
+    if not math.isfinite(detector_angle):
+        raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
+    phi, r = _check_real("phi", phi, array=True), _check_real("r", r, array=True)
     if phi.shape != r.shape:
         phi, r = np.broadcast_arrays(phi, r)
     shape = phi.shape
@@ -478,10 +453,9 @@ def measure(
 
     This is the reference that measure_many is tested against.  It uses
     Python floats and the math module and shares no code with measure_many
-    beyond the input checks.  A non-finite detector_angle raises DomainError,
-    as HiddenVariable does for a phase outside [0, 2*pi); a setting that is
-    not a real scalar, a side that is not a DetectorSide or params that are
-    not a ModelParams raise InvalidConfig.
+    beyond the input checks.  The setting passes errors' real-number rule,
+    _check_real, and a non-finite one raises DomainError; a side that is not
+    a DetectorSide or params that are not a ModelParams raise InvalidConfig.
     With pp the shifted phase, t = pp mod pi, and r_pat and r_band the
     offsets of r into the pattern half and the band half, the boundary
     conventions are:
@@ -498,9 +472,11 @@ def measure(
       also open at pp == 0 and pp == pi; its station two is a band of height
       b over all of r, - on [0, pi) and + on [pi, 2*pi).
     """
-    _check_side(side)
-    _check_params(params)
-    detector_angle = _check_angle(detector_angle)
+    _check_type("side", side, DetectorSide)
+    _check_type("params", params, ModelParams)
+    detector_angle = _check_real("detector_angle", detector_angle)
+    if not math.isfinite(detector_angle):
+        raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
     a, b, c = params.a, params.b, params.c
     pp = (lam.phi - detector_angle) % TWO_PI
     if pp >= TWO_PI:

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _MASK64, EmptyTally, InvalidConfig, _check_finite, _check_int
-from .model import TWO_PI, DetectorSide, ModelParams, _check_params, measure_many
-from .model import _check_angle
+from .errors import _MASK64, DomainError, EmptyTally, InvalidConfig, _check_int, _check_real
+from .errors import _check_type
+from .model import TWO_PI, DetectorSide, ModelParams, measure_many
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -79,12 +79,10 @@ class RunConfig:
         _check_int("n_pairs", self.n_pairs, lo=1)
         _check_int("chunk_size", self.chunk_size, lo=1)
         _check_int("seed", self.seed)
-        _check_params(self.params)
-        _check_finite("angle_1", self.angle_1)
-        _check_finite("angle_2", self.angle_2)
-        # A bool or a Fraction is finite, but measure_many takes no such setting.
-        _check_angle(self.angle_1)
-        _check_angle(self.angle_2)
+        _check_type("params", self.params, ModelParams)
+        for name, angle in (("angle_1", self.angle_1), ("angle_2", self.angle_2)):
+            if not math.isfinite(_check_real(name, angle)):
+                raise DomainError(f"{name} must be finite, got {angle!r}")
 
     @property
     def n_chunks(self) -> int:

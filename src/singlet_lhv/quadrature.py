@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ProbQuad
-from .errors import SingletLhvError, _check_finite, _check_int
+from .errors import DomainError, SingletLhvError, _check_int, _check_real, _check_type
 from .model import TWO_PI, DetectorSide, ModelParams, PatternKind, measure_many
-from .model import _check_angle, _check_params, _pattern_height, _shifted_phase
+from .model import _pattern_height, _shifted_phase
 
 #: A straddle probe's offsets from its cut: far above the rounding of
 #: 1/2 + w, 2**-54 or less, and far below verify's 1e-9 cell tolerance, so
@@ -199,16 +199,15 @@ def outcome_probabilities(
     segments, and a mismatch or cuts out of order raise SingletLhvError.
     The straddles catch any cut off by more than 2**-36; the grid catches a
     missing cut or a mislabelled segment wider than 1/r_probes, 1/160 by
-    default.
+    default.  Each setting passes errors' real-number rule, _check_real, and
+    a non-finite one raises DomainError.
     """
     r_probes = _check_int("r_probes", r_probes, lo=16)
     gl_order = _check_int("gl_order", gl_order, lo=2)
-    _check_params(params)
-    _check_finite("angle_1", angle_1)
-    _check_finite("angle_2", angle_2)
-    # A bool or a Fraction is finite, but measure_many takes no such setting.
-    _check_angle(angle_1)
-    _check_angle(angle_2)
+    _check_type("params", params, ModelParams)
+    for name, angle in (("angle_1", angle_1), ("angle_2", angle_2)):
+        if not math.isfinite(_check_real(name, angle)):
+            raise DomainError(f"{name} must be finite, got {angle!r}")
 
     edges = _breakpoints(angle_1, angle_2)
     x, wts = _gauss_legendre(gl_order)

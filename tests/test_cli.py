@@ -227,6 +227,16 @@ class TestChsh:
         assert res.returncode == 2
         assert "requires --angles" in res.stderr
 
+    @pytest.mark.parametrize("angles, value", [("nan,0,0,0", "nan"), ("0,inf,0,0", "inf")])
+    def test_non_finite_angle_is_one_error_line(self, capsys, angles, value):
+        status = cli.main([
+            "chsh", "--eta", "0.7", "--vis", "0.8", "--pairs", "100", "--angles", angles,
+        ])
+        res = capsys.readouterr()
+        assert status == 2
+        assert res.out == ""
+        assert res.err == f"error: angle_1 must be finite, got {value}\n"
+
     @pytest.mark.parametrize("eta, vis, pairs, empty", [
         ("0.001", "0", "10", 4), ("0.05", "0.3", "100", 3),
     ])

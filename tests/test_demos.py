@@ -91,11 +91,10 @@ def test_public_surface():
     assert not hasattr(singlet_lhv.PatternKind, "is_sinusoidal")
 
 
-# The one module that defines each input check.  errors cannot import model,
-# so the ModelParams check sits next to ModelParams.
+# The one module that defines each input check.
 CHECK_HOMES = {
-    "_check_int": "errors", "_check_finite": "errors", "_check_unit": "errors",
-    "_check_params": "model", "_check_side": "model", "_check_angle": "model",
+    "_check_int": "errors", "_check_real": "errors", "_check_unit": "errors",
+    "_check_type": "errors",
 }
 
 
@@ -110,6 +109,9 @@ def _definitions(name):
 def test_each_input_check_has_one_home():
     for name, home in CHECK_HOMES.items():
         assert [module for module, _ in _definitions(name)] == [home], name
+    # The checks _check_real and _check_type replaced are gone.
+    for name in ("_check_finite", "_check_angle", "_check_params", "_check_side"):
+        assert _definitions(name) == [], name
     # The oracle shares no code with the sampler, and no module reaches
     # into the sampler's private names.
     for module, tree in TREES.items():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from singlet_lhv import (
+    DomainError,
     EmptyTally,
     InvalidConfig,
     PatternKind,
@@ -85,7 +86,7 @@ class TestRunConfig:
             RunConfig(params=self.p, angle_1=0.0, angle_2=0.0, n_pairs=0, seed=1)
         with pytest.raises(InvalidConfig):
             RunConfig(params=self.p, angle_1=0.0, angle_2=0.0, n_pairs=10, seed=-1)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DomainError):
             RunConfig(
                 params=self.p, angle_1=math.inf, angle_2=0.0, n_pairs=10, seed=1
             )

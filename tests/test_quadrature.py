@@ -99,8 +99,10 @@ class TestJointTable:
         for kind, v in ((SIN, 0.8), (UNSYM, 1.0)):
             with pytest.raises(DomainError):
                 joint_table(solve_params(0.7, v, kind), math.nan)
+        for a1, a2 in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(DomainError):
+                outcome_probabilities(p, a1, a2)
         for a1, a2 in (
-            (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
             ("0", 1.0), (None, 1.0), (0.0, 1j),
             # Finite, but no setting measure_many takes.
             (True, 1.0), (0.0, np.bool_(False)), (Fraction(1, 3), 1.0), (0.0, Fraction(1, 3)),
