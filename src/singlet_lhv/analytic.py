@@ -111,14 +111,30 @@ class RegionVerdict:
     gap: bool
 
 
+def _check_theta(theta, array: bool = True):
+    """theta under errors._check_real, as a float if a real scalar, else if array as an ndarray.
+
+    A NaN or infinite theta raises DomainError.
+    """
+    array = array and not isinstance(theta, _REALS)
+    theta = _check_real("theta", theta, array=array)
+    if not (np.all(np.isfinite(theta)) if array else math.isfinite(theta)):
+        raise DomainError(f"theta must be finite, got {theta!r}")
+    return theta
+
+
 def reduce_theta(theta):
-    """Map any real angle to [0, pi] by the even periodic extension."""
-    return np.abs(np.mod(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi) - math.pi)
+    """Map any finite real angle, or array of them, to [0, pi] by the even periodic extension."""
+    return _reduce_theta(_check_theta(theta))
+
+
+def _reduce_theta(theta):
+    return np.abs(np.mod(theta + math.pi, 2.0 * math.pi) - math.pi)
 
 
 def qm_probs(theta: float) -> ProbQuad:
-    """Perfect singlet coincidence cells at relative angle theta."""
-    ct = math.cos(theta)
+    """Perfect singlet coincidence cells at a finite real relative angle theta."""
+    ct = math.cos(_check_theta(theta, array=False))
     anti = 0.25 * (1.0 - ct)
     corr = 0.25 * (1.0 + ct)
     return ProbQuad(p_pp=anti, p_pm=corr, p_mp=corr, p_mm=anti)
@@ -131,9 +147,13 @@ def line_g(theta):
     pi (after reduction), extended evenly and periodically.  Outer segments
     are shallower than the middle one by the factor sqrt(2) - 1, and the
     largest deviation from cos stays below 0.0704.  Scalars in, scalar out.
+    theta is checked as reduce_theta checks it.
     """
-    red = reduce_theta(theta)
-    out = np.interp(red, _LINE_KNOTS, _LINE_VALUES)
+    return _line_g(_check_theta(theta))
+
+
+def _line_g(theta):
+    out = np.interp(_reduce_theta(theta), _LINE_KNOTS, _LINE_VALUES)
     if np.ndim(theta) == 0:
         return float(out)
     return out
@@ -141,15 +161,12 @@ def line_g(theta):
 
 def _correlation_shape(theta, kind: PatternKind):
     _check_type("kind", kind, PatternKind)
-    scalar = isinstance(theta, _REALS)
-    theta = _check_real("theta", theta, array=not scalar)
-    if not (math.isfinite(theta) if scalar else np.all(np.isfinite(theta))):
-        raise DomainError(f"theta must be finite, got {theta!r}")
+    theta = _check_theta(theta)
     # cos is even and periodic already; only the interpolated shape needs
     # its argument folded into [0, pi].
     if kind is PatternKind.SYMMETRIZED_STAIRCASE:
-        return line_g(theta)
-    if scalar:
+        return _line_g(theta)
+    if isinstance(theta, float):
         return math.cos(theta)
     return np.cos(theta)
 
@@ -188,7 +205,8 @@ def joint_table(params: ModelParams, theta: float) -> np.ndarray:
     hold no detection.  The unsymmetrized kind detects at rate 2a/pi on
     station one, which never fires alone, and at rate b on station two.
     """
-    theta = _check_real("theta", theta)  # one table, so one angle
+    _check_type("params", params, ModelParams)
+    theta = _check_theta(theta, array=False)  # one table, so one angle
     if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
         rate, rate_2 = unsymmetrized_marginals(params.a, params.b)
         single_1, single_2, none = 0.0, 0.5 * (rate_2 - rate), 1.0 - rate_2

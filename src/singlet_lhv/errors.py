@@ -56,10 +56,14 @@ def _check_real(name: str, value, array: bool = False):
     Python and numpy ints and floats pass, and so does a 0-d array of them;
     with array set, so does an array or list of them of any shape.  A bool,
     complex, str, None, Fraction or other object, or an array where a scalar
-    is due, raises InvalidConfig.  Each caller applies its own domain test.
+    is due, raises InvalidConfig, and so does an int beyond float range.
+    Each caller applies its own domain test.
     """
     if not array and isinstance(value, _REALS) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # as an array it is an object, refused below
+            pass
     try:
         values = np.asarray(value)
     except ValueError:  # a ragged list

@@ -47,8 +47,11 @@ The response is written twice.  measure() decides one event in plain
 Python, straight from the geometry above, and states every boundary
 convention; it is the reference.  measure_many() is the vectorized kernel
 that the sampler and the quadrature oracle call; it evaluates each
-symmetrized station's pattern only on that station's own r-half.  Tests
-hold the two equal event by event, bit for bit.
+symmetrized station's pattern only on that station's own r-half.  For the
+sinusoidal kinds it decides from a polynomial estimate of a*|sin phi'|
+and calls libm's sin only for events within a proven margin of an edge,
+on measure()'s own float operations.  Tests hold the two decisions equal
+event by event.
 """
 
 from __future__ import annotations
@@ -72,15 +75,27 @@ STAIRCASE_OUTER_LEVEL = SQRT2 - 1.0
 #: Events measure_many evaluates at a time.  Each numpy call in a slice
 #: releases the GIL and takes it back, so at two sampler threads a larger
 #: slice means fewer contended handoffs per pair: 2**15 halves them against
-#: 2**14.  The kernels keep about 19 bytes of temporaries per event, so a
-#: slice's peak stays near 600 KiB, inside L2 and below the heap growth at
-#: which glibc trims and the quadrature oracle faults its pages back in.
+#: 2**14.  The sinusoidal kinds spend about 20 of a slice's calls on the
+#: Horner steps and margin test that replace libm's sin, which still runs on
+#: the rare events near an edge.  The kernels keep 17 to 19 bytes of
+#: temporaries per event, so a slice's peak stays near 600 KiB, inside L2
+#: and below the heap growth at which glibc trims and the quadrature oracle
+#: faults its pages back in.
 _TILE = 1 << 15
 
 #: Absolute slack granted when comparing against the feasibility frontier,
 #: applied in the scaled units of K*v vs 4/eta - 2.  Only _infeasibility
 #: compares against the frontier, so no two feasibility decisions disagree.
 FRONTIER_TOL = 1e-12
+
+#: Taylor coefficients of cos u through u**18, (-1)**k / (2k)! for u**(2k):
+#: sin t = cos(t - pi/2), so on t in [0, pi) they give the sinusoidal
+#: height's polynomial S in z = (t - pi/2)**2.
+_COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(10))
+
+#: How far r may lie from a polynomial height and still be decided by it;
+#: _sin_height_estimate proves that no height errs by more than a quarter of it.
+_MARGIN = 2.0**-44
 
 
 class PatternKind(enum.Enum):
@@ -232,6 +247,58 @@ def _half_phase(pp: np.ndarray) -> np.ndarray:
     return t
 
 
+def _sin_height_estimate(t: np.ndarray, a: float) -> np.ndarray:
+    """a * S(t), within _MARGIN / 4 of the exact height a*|sin pp| for t = _half_phase(pp).
+
+    S is the Taylor polynomial of sin t = cos u, u = t - pi/2, through
+    u**18, evaluated by Horner in z = u*u with the coefficients a * c_k;
+    t's array is overwritten with z.  For every a in [0, 1] (a pattern has
+    a <= b <= 1/2, up to FRONTIER_TOL), the exact height w = fl(a *
+    |libm sin pp|) and this estimate differ by at most 1.2e-14:
+
+    * truncation: |u| <= pi/2, so Taylor's remainder is at most
+      (pi/2)**20 / 20! < 3.5e-15, times a;
+    * Horner: ten rounded coefficients and nine multiply-add steps err by at
+      most gamma_19 * sum_k |c_k| z**k <= 19 * 2**-53 * cosh(pi/2) < 5.3e-15,
+      times a;
+    * the argument: u = t - fl(pi/2) rounds by at most 2**-54 and misses
+      pi/2 by 6.2e-17, z = u*u rounds by 2.5 * 2**-53, and on [pi, 2*pi)
+      t = pp - fl(pi) misses pp - pi by 1.3e-16; as |d cos u/du| <= 1 and
+      |dS/dz| <= 1/2, together less than 6e-16;
+    * libm's sin errs by less than one ulp, 1.2e-16, and a * |sin| rounds
+      by 2**-54 more.
+
+    The error-band cap, keep * w + band_c with keep in [0, 1], adds two
+    roundings of numbers below 1 on each side, so its estimate is off by at
+    most 1.3e-14 as well.  Both lie far below _MARGIN = 2**-44 (5.7e-14),
+    which lies far below the quadrature oracle's straddle offset of 2**-36,
+    so no straddle probe needs the exact path.
+    """
+    z = np.subtract(t, HALF_PI, out=t)
+    z *= z
+    w = np.multiply(z, a * _COS_TAYLOR[-1])
+    for coef in _COS_TAYLOR[-2:0:-1]:
+        w += a * coef
+        w *= z
+    w += a * _COS_TAYLOR[0]
+    return w
+
+
+def _unsure(*gaps: np.ndarray) -> np.ndarray | None:
+    """Indices where any gap r - estimate lies within _MARGIN of zero, or None.
+
+    Rounding is monotone and _MARGIN is a float, so a rounded gap beyond
+    +-_MARGIN has the sign of the exact one.  The gaps are overwritten, and
+    one reduction settles the common case, where no event is near an edge.
+    """
+    near = np.abs(gaps[0], out=gaps[0])
+    for gap in gaps[1:]:
+        np.minimum(near, np.abs(gap, out=gap), out=near)
+    if not near.size or near.min() > _MARGIN:
+        return None
+    return np.flatnonzero(near <= _MARGIN)
+
+
 def _pattern_height(
     kind: PatternKind,
     a: float,
@@ -295,7 +362,9 @@ def _shifted_phase(phi: np.ndarray, detector_angle: float) -> np.ndarray:
                 if lo <= -step:
                     out += step * (out <= -step)
                 step *= 0.5
-    out += TWO_PI * (out < 0.0)
+    fix = (out < 0.0).astype(np.float64)
+    fix *= TWO_PI
+    out += fix
     # A tiny negative remainder plus 2*pi can round up to exactly 2*pi.
     out[out >= TWO_PI] = 0.0
     return out
@@ -316,28 +385,34 @@ def measure_many(
 
     phi and r hold the hidden variables and broadcast against each other; a
     0-d pair gives a 0-d result.  phi, r and the setting pass errors'
-    real-number rule, _check_real, and a non-finite setting or phase raises
-    DomainError; r is not range-checked.  _shifted_phase reduces
-    phi - detector_angle mod 2*pi exactly, without libm.  Side and params
-    are checked as in measure().  Event by event the result equals
-    measure(), the plain-Python reference, bit for bit.
+    real-number rule, _check_real; a non-finite setting or phase raises
+    DomainError, and so does an r outside [0, 1), as in HiddenVariable.
+    _shifted_phase reduces phi - detector_angle mod 2*pi exactly, without
+    libm.  Side and params are checked as in measure().  Event by event the
+    outcome equals measure(), the plain-Python reference.
 
     A symmetrized station evaluates its pattern only on its own r-half.  The
     constant detection band of the other half is decided for the whole array
     with comparisons alone.  The pattern-half events that lie no higher than
     the tallest core or error-band height are then gathered, and only they
-    pay for sin(), the error-band cap and the quarter-period test.  The
+    pay for the height, the error-band cap and the quarter-period test.  The
     unsymmetrized station one evaluates its core only where r <= a.  The
-    float operations per event are those of measure().
+    staircase height is exact.  The sinusoidal height is the estimate
+    _sin_height_estimate, which settles every core and cap test whose r lies
+    more than _MARGIN from the estimated edge.  The rest, under one event in
+    1e12 of uniform draws, are recomputed on the exact path: np.sin of the
+    shifted phase and the tests in measure()'s float operations.  So the
+    decisions, not the heights, equal measure()'s bit for bit.
 
     The events are worked through in slices of at most _TILE, each written
     by its kernel straight into one preallocated result.  A slice is large
     enough that two sampler threads seldom wait on each other's GIL
     handoffs, and each kernel frees its whole-slice arrays before it works
-    on the gathered events, so a slice's temporaries stay near 19 bytes per
-    event (see _TILE).  Every step acts on each event alone, so the slices
-    give the result of one pass bit for bit; a non-finite phase in any
-    slice raises.
+    on the gathered events, so a slice's temporaries stay near 17 bytes per
+    event, 19 for a setting beyond one turn (see _TILE).  Every step acts on
+    each event alone, so the slices give the result of one pass bit for bit;
+    a non-finite phase in any slice raises.  The range of r is checked once
+    per call, by one min and one max.
     """
     _check_type("side", side, DetectorSide)
     _check_type("params", params, ModelParams)
@@ -345,6 +420,11 @@ def measure_many(
     if not math.isfinite(detector_angle):
         raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
     phi, r = _check_real("phi", phi, array=True), _check_real("r", r, array=True)
+    # min and max propagate NaN, which fails the test as HiddenVariable's does.
+    if r.size and not (0.0 <= r.min() and r.max() < 1.0):
+        raise DomainError(
+            f"r must lie in [0, 1), got values in [{float(r.min())!r}, {float(r.max())!r}]"
+        )
     if phi.shape != r.shape:
         phi, r = np.broadcast_arrays(phi, r)
     shape = phi.shape
@@ -378,7 +458,16 @@ def _unsymmetrized(
     del pp
     plus = (p > 0.0) & (p < math.pi)
     minus = p > math.pi
-    hit = r[core] <= _pattern_height(params.kind, a, p, out=p)
+    t = _half_phase(p)
+    del p
+    r_core = r[core]
+    w = _sin_height_estimate(t, a)
+    gap = np.subtract(r_core, w, out=w)
+    hit = gap <= 0.0
+    unsure = _unsure(gap)
+    if unsure is not None:
+        w = _pattern_height(params.kind, a, _shifted_phase(phi[core[unsure]], detector_angle))
+        hit[unsure] = r_core[unsure] <= w
     out[core] = _i8(plus & hit) - _i8(minus & hit)
 
 
@@ -390,6 +479,21 @@ def _upper_edge(height: float) -> float:
     """
     edge = 0.5 + height
     return edge if edge - 0.5 >= height else math.nextafter(edge, math.inf)
+
+
+def _exact_tests(
+    r_pat: np.ndarray, w: np.ndarray, is_open: np.ndarray, keep: float, band_c: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The core and detection tests on exact heights w, in measure()'s float operations.
+
+    w's array becomes the cap's.
+    """
+    core = (r_pat <= w) & is_open
+    cap = w
+    cap *= keep
+    cap += band_c
+    hit = core | (r_pat <= cap)
+    return core, hit
 
 
 def _symmetrized(
@@ -426,14 +530,33 @@ def _symmetrized(
 
     first = p < math.pi
     t = _half_phase(p)
-    w = _pattern_height(params.kind, a, p, t, out=p)
     is_open = t > 0.0
     quarter = is_open & (t <= HALF_PI)
-    core = (r_pat <= w) & is_open
-    cap = w  # w is not read again, so the cap takes its array
-    cap *= keep
-    cap += band_c
-    hit = core | (r_pat <= cap)
+    if params.kind is PatternKind.SYMMETRIZED_STAIRCASE:
+        core, hit = _exact_tests(
+            r_pat, _pattern_height(params.kind, a, p, t, out=p), is_open, keep, band_c
+        )
+    else:
+        del p
+        w = _sin_height_estimate(t, a)
+        cap = np.multiply(w, keep, out=t)
+        cap += band_c
+        core_gap = np.subtract(r_pat, w, out=w)
+        cap_gap = np.subtract(r_pat, cap, out=cap)
+        # Where t is 0 the exact w is below 1e-16, so the estimate lies
+        # below _MARGIN; as r_pat >= 0, a gap there is near or positive, and
+        # the open phase needs testing only on the exact path.
+        core = core_gap <= 0.0
+        hit = cap_gap <= 0.0
+        hit |= core
+        unsure = _unsure(core_gap, cap_gap)
+        if unsure is not None:
+            w = _pattern_height(
+                params.kind, a, _shifted_phase(phi[pattern[unsure]], detector_angle)
+            )
+            core[unsure], hit[unsure] = _exact_tests(
+                r_pat[unsure], w, is_open[unsure], keep, band_c
+            )
     # The sign is + where the core is on (0, pi) or the error band on a
     # first or third quarter-period: core ? pp < pi : quarter.
     plus = ((first ^ quarter) & core) ^ quarter
@@ -524,6 +647,7 @@ def unsymmetrized_marginals(a: float, b: float) -> tuple[float, float]:
     constant band, b.  They differ unless a = pi*b/2, which is the tell that
     distinguishes this kind from the symmetrized ones in experiments.
     """
+    a, b = _check_real("a", a), _check_real("b", b)
     if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
         raise DomainError(f"pattern heights must be finite and nonnegative, got {a!r} and {b!r}")
     return (2.0 * a / math.pi, b)

@@ -46,6 +46,9 @@ from .model import _pattern_height, _shifted_phase
 #: a cut the straddles pass moves no cell by more than about 1.5e-11.
 _STRADDLE = np.array([-(2.0**-36), 2.0**-36])
 
+#: The largest float below 1, the top of measure_many's range of r.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 
 @dataclass(frozen=True)
 class PatternIntegral:
@@ -93,7 +96,8 @@ def _segments(
         halves = ((0.0, 1.0, (w1, b)),)
     else:
         w2 = _pattern_height(params.kind, a, _shifted_phase(phi, angle_2))
-        # The error-band caps in the float operations measure_many uses.
+        # The error-band caps in measure()'s float operations, which
+        # measure_many's exact path repeats near every cut.
         cap1, cap2 = w1 * (1.0 - c) + b * c, w2 * (1.0 - c) + b * c
         halves = ((0.0, 0.5, (w1, cap1, b)), (0.5, 0.5, (w2, cap2, b)))
     starts, lengths = [], []
@@ -218,8 +222,13 @@ def outcome_probabilities(
 
     start, seg = _segments(phi_nodes, angle_1, angle_2, params)
     n_seg = seg.shape[1]
+    # A segment of length 0 on top of station two's half has its midpoint at
+    # r = 1, outside measure_many's [0, 1); its label carries no weight.
+    # Clipped midpoints also let the guard below report cuts moved out of
+    # the unit interval.
+    mid = np.clip((start + 0.5 * seg).ravel(), 0.0, _BELOW_ONE)
     label = _labels(
-        np.repeat(phi_nodes, n_seg), (start + 0.5 * seg).ravel(), angle_1, angle_2, params
+        np.repeat(phi_nodes, n_seg), mid, angle_1, angle_2, params
     ).reshape(n_phi, n_seg)
     _check_segments(phi_nodes, start[:, 1:], label, r_probes, angle_1, angle_2, params)
 

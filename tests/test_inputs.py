@@ -1,9 +1,10 @@
 """Every public entry that takes a real number holds it to the one rule,
 errors._check_real, and then to its own domain.
 
-A value that is not a real number raises InvalidConfig wherever it goes.  A
-NaN or infinite setting, phase or theta raises DomainError; eta and v keep
-each entry's own range class.
+A value that is not a real number, or an int beyond float range, raises
+InvalidConfig wherever it goes.  A NaN or infinite setting, phase, r, pattern
+height or theta raises DomainError; eta and v keep each entry's own range
+class.
 """
 
 import math
@@ -27,11 +28,15 @@ from singlet_lhv import (
     correlation,
     is_feasible,
     joint_table,
+    line_g,
     max_visibility,
     measure,
     measure_many,
     nonideal_probs,
+    qm_probs,
+    reduce_theta,
     solve_params,
+    unsymmetrized_marginals,
 )
 from singlet_lhv.quadrature import outcome_probabilities
 
@@ -53,12 +58,15 @@ ROWS = [
     ("outcome_probabilities-angle_2", lambda x: outcome_probabilities(P, 0.0, x), DomainError, True),
     ("measure-angle", lambda x: measure(HiddenVariable(1.0, 0.1), x, ONE, P), DomainError, True),
     ("measure_many-angle", lambda x: measure_many(PHI, R, x, ONE, P), DomainError, True),
-    # Phases and r; measure_many takes arrays of them, and leaves the range
-    # of r to its caller, so a non-finite r has no cell there.
+    # Phases and r; measure_many takes arrays of them, and holds r to
+    # [0, 1) as HiddenVariable does.
     ("HiddenVariable-phi", lambda x: HiddenVariable(x, 0.1), DomainError, True),
     ("HiddenVariable-r", lambda x: HiddenVariable(1.0, x), DomainError, True),
     ("measure_many-phi", lambda x: measure_many(x, 0.1, 0.4, ONE, P), DomainError, False),
-    ("measure_many-r", lambda x: measure_many(1.0, x, 0.4, ONE, P), None, False),
+    ("measure_many-r", lambda x: measure_many(1.0, x, 0.4, ONE, P), DomainError, False),
+    # Pattern heights.
+    ("unsymmetrized_marginals-a", lambda x: unsymmetrized_marginals(x, 0.2), DomainError, True),
+    ("unsymmetrized_marginals-b", lambda x: unsymmetrized_marginals(0.2, x), DomainError, True),
     # eta and v.  is_feasible answers False for a real value outside the
     # region, so a non-finite value has no cell there.
     ("ModelParams-eta", lambda x: ModelParams(x, 0.5, SIN), InfeasibleParameters, True),
@@ -82,6 +90,9 @@ ROWS = [
     ("correlation-theta", lambda x: correlation(x, 0.5, SIN), DomainError, False),
     ("nonideal_probs-theta", lambda x: nonideal_probs(x, 0.5, 0.5, SIN), DomainError, False),
     ("joint_table-theta", lambda x: joint_table(P, x), DomainError, True),
+    ("qm_probs-theta", qm_probs, DomainError, True),
+    ("reduce_theta-theta", reduce_theta, DomainError, False),
+    ("line_g-theta", line_g, DomainError, False),
     ("bell_generalized_slack-theta",
      lambda x: bell_generalized_slack(0.9, 1.0, x, 0.2, 0.3), DomainError, False),
 ]
@@ -89,6 +100,7 @@ ROWS = [
 NOT_REAL = [
     ("bool", True), ("np.bool_", np.bool_(False)), ("Fraction", Fraction(1, 3)),
     ("complex", complex(0.3, 0.0)), ("str", "0.3"), ("None", None),
+    ("int-beyond-float", 10**400),
 ]
 NOT_FINITE = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
 
@@ -123,3 +135,10 @@ def test_kind_must_be_a_pattern_kind():
             correlation(1.0, 0.5, kind)
         with pytest.raises(InvalidConfig):
             nonideal_probs(1.0, 0.7, 0.8, kind)
+
+
+def test_joint_table_params_must_be_model_params():
+    # None once raised AttributeError.
+    for params in (None, SIN, "sin"):
+        with pytest.raises(InvalidConfig):
+            joint_table(params, 0.3)

@@ -23,7 +23,9 @@ from singlet_lhv import (
     solve_params,
     unsymmetrized_marginals,
 )
+from singlet_lhv import model
 from singlet_lhv.model import _TILE, FRONTIER_TOL, TWO_PI, _pattern_height, _shifted_phase
+from singlet_lhv.quadrature import _STRADDLE
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -534,6 +536,54 @@ class TestMeasureManyMatchesReference:
                 measure(HiddenVariable(events["phi"][0], events["r"][0]), 0.4, side, p)
 
 
+class TestHeightFilter:
+    """The sinusoidal kinds decide from a polynomial height and fall back near an edge."""
+
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    def test_polynomial_error_is_a_quarter_of_the_margin(self, a):
+        # Every float phase on a dense grid of [0, 2*pi), both half-periods.
+        pp = np.linspace(0.0, TWO_PI, 1 << 20, endpoint=False)
+        got = model._sin_height_estimate(model._half_phase(pp), a)
+        err = np.abs(got - _pattern_height(SIN, a, pp)).max()
+        assert 4.0 * err <= model._MARGIN
+        assert model._MARGIN < 2.0**-36 == _STRADDLE[1]
+
+    @pytest.mark.parametrize("kind, eta, v", [(SIN, 0.7, 0.8), (SIN, 0.3, 0.0), (UNSYM, 0.7, 1.0)])
+    @pytest.mark.parametrize("side", list(DetectorSide))
+    @pytest.mark.parametrize("angle", [0.3, -(1e6 + 0.3)])
+    def test_edge_events_match_reference_through_the_fallback(
+        self, monkeypatch, kind, eta, v, side, angle
+    ):
+        # r on the exact w and cap of each event and one ulp either side;
+        # for station two, on 0.5 + w and 0.5 + cap, whose offsets lie
+        # within 2**-54 of them.  Only the fallback calls _pattern_height.
+        p = ModelParams(eta, v, kind)
+        fallback = []
+
+        def counting(*args, **kwargs):
+            fallback.append(args[2].size)
+            return _pattern_height(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_pattern_height", counting)
+        phis = np.concatenate([
+            _ADVERSARIAL_PHI, np.random.Generator(np.random.Philox(key=28)).random(400) * TWO_PI,
+        ]).tolist()
+        labels = ("w", "cap") if kind is not UNSYM or side is DetectorSide.ONE else ("b",)
+        if side is DetectorSide.TWO and kind is not UNSYM:
+            labels = ("0.5+w", "0.5+cap")
+        events = [
+            (phi, x)
+            for phi in phis
+            for r in (_edge_r(label, phi, angle, p) for label in labels)
+            for x in (math.nextafter(r, -1.0), r, math.nextafter(r, 2.0))
+            if 0.0 <= x < 1.0
+        ]
+        phi, r = zip(*events)
+        _assert_matches_reference(phi, r, angle, side, p)
+        if kind is SIN or side is DetectorSide.ONE:
+            assert sum(fallback) >= len(phis)
+
+
 def _mod_reference(x):
     """np.mod(x, 2*pi) with a result of 2*pi mapped to 0."""
     want = np.mod(x, TWO_PI)
@@ -624,15 +674,16 @@ class TestTiles:
 
 
 class TestTransientMemory:
-    """measure_many's temporaries stay near 19 bytes per event of a slice.
+    """measure_many's temporaries stay near 17 bytes per event of a slice.
 
-    The largest are _shifted_phase's, 17 bytes and a 64 KiB cast buffer; the
-    kernels free the whole-slice arrays before they work on the gathered
-    events.  On 3 * _TILE + 5 events the peak, with the int8 result, reads
-    at most 7.72 bytes per event (numpy 2.4).  Kernels that keep the
-    whole-slice phases alive read 10.7 to 13.1 at this slice size, and push
-    the quadrature oracle's heap past glibc's trim threshold, so that every
-    oracle call faults its pages back in.
+    The largest are _shifted_phase's, 17 bytes, and for a setting beyond
+    one turn the 64 KiB cast buffer of its ladder; the kernels free the
+    whole-slice arrays before they work on the gathered events.  On
+    3 * _TILE + 5 events the peak, with the int8 result, reads 6.68 bytes
+    per event at setting 0.3 and 7.36 beyond one turn (numpy 2.4).  Kernels
+    that keep the whole-slice phases alive read 10.7 to 13.1 at this slice
+    size, and push the quadrature oracle's heap past glibc's trim threshold,
+    so that every oracle call faults its pages back in.
     """
 
     BYTES_PER_EVENT = 8.5
