@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _REALS, DomainError, _check_real, _check_type, _check_unit
+from .errors import _REALS, DomainError, _check_real, _check_setting, _check_type, _check_unit
 from .model import (
     HALF_PI,
     SQRT2,
@@ -77,12 +77,22 @@ class ProbQuad:
 
 @dataclass(frozen=True)
 class ChshAngles:
-    """Four detector settings: a, b on station one, c, d on station two."""
+    """Four detector settings: a, b on station one, c, d on station two.
+
+    Each passes errors._check_setting under its station's name, angle_1 or
+    angle_2, as in RunConfig, so a non-finite one raises DomainError.
+    """
 
     phi_a: float
     phi_b: float
     phi_c: float
     phi_d: float
+
+    def __post_init__(self) -> None:
+        for angle in (self.phi_a, self.phi_b):
+            _check_setting("angle_1", angle)
+        for angle in (self.phi_c, self.phi_d):
+            _check_setting("angle_2", angle)
 
     def settings(self) -> dict[str, tuple[float, float]]:
         """The four (station one, station two) setting pairs, labelled ac, ad, bc, bd in order."""
@@ -231,6 +241,7 @@ def correlation(theta: float, v: float, kind: PatternKind):
 
 def chsh_value(v: float, kind: PatternKind, angles: ChshAngles = STANDARD_CHSH_ANGLES) -> float:
     """S = |E(c-a) - E(d-a)| + |E(c-b) + E(d-b)| for the model correlation."""
+    _check_type("angles", angles, ChshAngles)
     return chsh_s(*(correlation(a2 - a1, v, kind) for a1, a2 in angles.settings().values()))
 
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks of plain inputs."""
 
+import math
 import operator
 
 import numpy as np
@@ -72,6 +73,14 @@ def _check_real(name: str, value, array: bool = False):
         kind = "real numbers" if array else "a real number"
         raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
     return values.astype(float, copy=False) if array else float(values)
+
+
+def _check_setting(name: str, value) -> float:
+    """A detector setting as a float, under _check_real; a NaN or infinite one raises DomainError."""
+    value = _check_real(name, value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _check_type(name: str, value, cls: type) -> None:

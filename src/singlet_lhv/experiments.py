@@ -29,6 +29,7 @@ from .analytic import (
     qm_probs,
 )
 from .errors import DegeneratePoint, EmptyTally, InfeasibleParameters, SingletLhvError, _check_int
+from .errors import _check_type
 from .model import (
     SQRT2,
     TWO_PI,
@@ -158,6 +159,7 @@ def sweep_gate(rows: list[SweepRow], params: ModelParams) -> SweepGate:
     exactly.  A row without coincidences (corr_mc is NaN) is untested, and
     an empty sweep tests nothing.
     """
+    _check_type("params", params, ModelParams)
     unsym = params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL
     worst_dev = 0.0
     worst_sigma = 0.0
@@ -227,6 +229,7 @@ def chsh_experiment(
     and se_s: too little data, never a violation.
     """
     pairs_per_setting = _check_int("pairs_per_setting", pairs_per_setting, lo=1)
+    _check_type("angles", angles, ChshAngles)
     pairs = angles.settings()
     sampled = _sample(params, pairs.values(), pairs_per_setting, seed, workers)
     settings = [
@@ -443,11 +446,14 @@ def verify_suite(
     one named in mutants/kill_matrix.json: exact identities at tight float
     tolerances, quadrature against closed forms at 1e-9, and Monte Carlo
     statistics at five sigma with the given per-run budget.  Each check is
-    one call, and a package error it raises fails that check alone.
-    Deterministic for a fixed seed.
+    one call, and a package error it raises fails that check alone; a bad
+    pairs_budget, seed or workers raises InvalidConfig before any check
+    runs.  Deterministic for a fixed seed.
     """
     pairs_budget = _check_int("pairs_budget", pairs_budget, lo=MIN_VERIFY_PAIRS)
     seed = _check_int("seed", seed)
+    if workers is not None:
+        _check_int("workers", workers)
 
     def sample(params, angle_1, angle_2, index) -> Tally:
         cfg = RunConfig(

@@ -45,13 +45,14 @@ ModelParams and solve_params alike.
 
 The response is written twice.  measure() decides one event in plain
 Python, straight from the geometry above, and states every boundary
-convention; it is the reference.  measure_many() is the vectorized kernel
-that the sampler and the quadrature oracle call; it evaluates each
-symmetrized station's pattern only on that station's own r-half.  For the
-sinusoidal kinds it decides from a polynomial estimate of a*|sin phi'|
-and calls libm's sin only for events within a proven margin of an edge,
-on measure()'s own float operations.  Tests hold the two decisions equal
-event by event.
+convention; it is the reference.  measure_many() is the vectorized
+response that the sampler and the quadrature oracle call.  One kernel
+serves every kind and side: _geometry states each station as a detection
+band and a pattern window in r, and the pattern is evaluated only in the
+window.  For the sinusoidal kinds it decides from a polynomial estimate
+of a*|sin phi'| and calls libm's sin only for events within a proven
+margin of an edge, on measure()'s own float operations.  Tests hold the
+two decisions equal event by event.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePoint, DomainError, InfeasibleParameters
-from .errors import SingletLhvError, _check_real, _check_type, _check_unit
+from .errors import SingletLhvError, _check_real, _check_setting, _check_type, _check_unit
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -77,7 +78,7 @@ STAIRCASE_OUTER_LEVEL = SQRT2 - 1.0
 #: slice means fewer contended handoffs per pair: 2**15 halves them against
 #: 2**14.  The sinusoidal kinds spend about 20 of a slice's calls on the
 #: Horner steps and margin test that replace libm's sin, which still runs on
-#: the rare events near an edge.  The kernels keep 17 to 19 bytes of
+#: the rare events near an edge.  The kernel keeps about 17 bytes of
 #: temporaries per event, so a slice's peak stays near 600 KiB, inside L2
 #: and below the heap growth at which glibc trims and the quadrature oracle
 #: faults its pages back in.
@@ -324,6 +325,13 @@ def _pattern_height(
     return w
 
 
+def _add_where(out: np.ndarray, mask: np.ndarray, value: float) -> None:
+    """out += value * mask, the mask cast once in place of numpy's 64 KiB cast buffer."""
+    step = mask.astype(np.float64)
+    step *= value
+    out += step
+
+
 def _shifted_phase(phi: np.ndarray, detector_angle: float) -> np.ndarray:
     """(phi - detector_angle) mod 2*pi on 1-d phi, bit for bit as np.mod gives it.
 
@@ -358,13 +366,11 @@ def _shifted_phase(phi: np.ndarray, detector_angle: float) -> np.ndarray:
                 step += step
             while step >= TWO_PI:
                 if hi >= step:
-                    out -= step * (out >= step)
+                    _add_where(out, out >= step, -step)
                 if lo <= -step:
-                    out += step * (out <= -step)
+                    _add_where(out, out <= -step, step)
                 step *= 0.5
-    fix = (out < 0.0).astype(np.float64)
-    fix *= TWO_PI
-    out += fix
+    _add_where(out, out < 0.0, TWO_PI)
     # A tiny negative remainder plus 2*pi can round up to exactly 2*pi.
     out[out >= TWO_PI] = 0.0
     return out
@@ -391,34 +397,31 @@ def measure_many(
     libm.  Side and params are checked as in measure().  Event by event the
     outcome equals measure(), the plain-Python reference.
 
-    A symmetrized station evaluates its pattern only on its own r-half.  The
-    constant detection band of the other half is decided for the whole array
-    with comparisons alone.  The pattern-half events that lie no higher than
-    the tallest core or error-band height are then gathered, and only they
-    pay for the height, the error-band cap and the quarter-period test.  The
-    unsymmetrized station one evaluates its core only where r <= a.  The
-    staircase height is exact.  The sinusoidal height is the estimate
-    _sin_height_estimate, which settles every core and cap test whose r lies
-    more than _MARGIN from the estimated edge.  The rest, under one event in
-    1e12 of uniform draws, are recomputed on the exact path: np.sin of the
-    shifted phase and the tests in measure()'s float operations.  So the
-    decisions, not the heights, equal measure()'s bit for bit.
+    One kernel serves every kind and side: _geometry states the station as
+    a detection band and a pattern window in r, once per call.  The band is
+    decided for the whole slice with comparisons alone.  The window's
+    events, which lie no higher than the tallest core or error-band height,
+    are then gathered, and only they pay for the height, the error-band cap
+    and the quarter-period test.  The staircase height is exact.  The
+    sinusoidal height is the estimate _sin_height_estimate, which settles
+    every core and cap test whose r lies more than _MARGIN from the
+    estimated edge.  The rest, under one event in 1e12 of uniform draws,
+    are recomputed on the exact path: np.sin of the shifted phase and the
+    tests in measure()'s float operations.  So the decisions, not the
+    heights, equal measure()'s bit for bit.
 
     The events are worked through in slices of at most _TILE, each written
-    by its kernel straight into one preallocated result.  A slice is large
-    enough that two sampler threads seldom wait on each other's GIL
-    handoffs, and each kernel frees its whole-slice arrays before it works
-    on the gathered events, so a slice's temporaries stay near 17 bytes per
-    event, 19 for a setting beyond one turn (see _TILE).  Every step acts on
-    each event alone, so the slices give the result of one pass bit for bit;
-    a non-finite phase in any slice raises.  The range of r is checked once
-    per call, by one min and one max.
+    straight into one preallocated result.  A slice is large enough that
+    two sampler threads seldom wait on each other's GIL handoffs, and the
+    kernel frees its whole-slice arrays before it works on the gathered
+    events, so a slice's temporaries stay near 17 bytes per event (see
+    _TILE).  Every step acts on each event alone, so the slices give the
+    result of one pass bit for bit; a non-finite phase in any slice raises.
+    The range of r is checked once per call, by one min and one max.
     """
     _check_type("side", side, DetectorSide)
     _check_type("params", params, ModelParams)
-    detector_angle = _check_real("detector_angle", detector_angle)
-    if not math.isfinite(detector_angle):
-        raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
+    detector_angle = _check_setting("detector_angle", detector_angle)
     phi, r = _check_real("phi", phi, array=True), _check_real("r", r, array=True)
     # min and max propagate NaN, which fails the test as HiddenVariable's does.
     if r.size and not (0.0 <= r.min() and r.max() < 1.0):
@@ -430,45 +433,14 @@ def measure_many(
     shape = phi.shape
     phi = phi.reshape(-1)
     r = r.reshape(-1)
-    if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
-        kernel = _unsymmetrized
-    else:
-        kernel = _symmetrized
+    geometry = _geometry(side, params)
     out = np.empty(phi.size, dtype=np.int8)
     for lo in range(0, phi.size, _TILE):
         tile = slice(lo, lo + _TILE)
-        kernel(out[tile], phi[tile], r[tile], detector_angle, side, params)
-    return out.reshape(shape)
-
-
-def _unsymmetrized(
-    out: np.ndarray, phi: np.ndarray, r: np.ndarray, detector_angle: float,
-    side: DetectorSide, params: ModelParams,
-) -> None:
-    a, b = params.a, params.b
-    pp = _shifted_phase(phi, detector_angle)
+        _measure_slice(out[tile], phi[tile], r[tile], detector_angle, params.kind, geometry)
     if side is DetectorSide.TWO:
-        hit = r < b
-        np.subtract(_i8(hit & (pp >= math.pi)), _i8(hit & (pp < math.pi)), out=out)
-        return
-    # Station one is a core over the whole r-interval, and w <= a.
-    out.fill(0)
-    core = np.flatnonzero(r <= a)
-    p = pp[core]
-    del pp
-    plus = (p > 0.0) & (p < math.pi)
-    minus = p > math.pi
-    t = _half_phase(p)
-    del p
-    r_core = r[core]
-    w = _sin_height_estimate(t, a)
-    gap = np.subtract(r_core, w, out=w)
-    hit = gap <= 0.0
-    unsure = _unsure(gap)
-    if unsure is not None:
-        w = _pattern_height(params.kind, a, _shifted_phase(phi[core[unsure]], detector_angle))
-        hit[unsure] = r_core[unsure] <= w
-    out[core] = _i8(plus & hit) - _i8(minus & hit)
+        np.negative(out, out=out)
+    return out.reshape(shape)
 
 
 def _upper_edge(height: float) -> float:
@@ -479,6 +451,38 @@ def _upper_edge(height: float) -> float:
     """
     edge = 0.5 + height
     return edge if edge - 0.5 >= height else math.nextafter(edge, math.inf)
+
+
+def _geometry(side: DetectorSide, params: ModelParams) -> tuple[float, ...]:
+    """One station's pattern as the plain numbers its slices are tested against.
+
+    Returns (a, band_lo, band_hi, pat_lo, pat_hi, keep, band_c): the
+    detection band band_lo <= r < band_hi, and the window pat_lo <= r <=
+    pat_hi in which the core of height w <= a and the error band's cap
+    keep * w + band_c are evaluated at r_pat = r - pat_lo; an interval whose
+    top lies below its bottom is empty.  Symmetrized station one has the band
+    [0.5, _upper_edge(b)) and the window [0, reach] below 0.5, and station
+    two the band [0, min(b, 0.5)) and the window [0.5, 0.5 + reach]: r == 0.5
+    lies in station one's band and station two's window.  Unsymmetrized
+    station one has no band and the window [0, a] with a cap of -1, so only
+    its core detects; its station two has the band [0, b) and no window.
+    Signs are station one's; measure_many flips station two's.
+
+    Rounding is monotone and |sin| <= 1, so no w or cap exceeds
+    reach = max(a, band_c + keep * a): an event above it is never detected.
+    No float r with r - 0.5 <= reach lies above 0.5 + reach rounded, and an
+    event admitted above reach is evaluated and not detected.
+    """
+    a, b, c = params.a, params.b, params.c
+    if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
+        if side is DetectorSide.ONE:
+            return a, 0.0, 0.0, 0.0, a, 0.0, -1.0
+        return a, 0.0, b, 0.0, -1.0, 0.0, -1.0
+    band_c, keep = b * c, 1.0 - c
+    reach = max(a, band_c + keep * a)
+    if side is DetectorSide.ONE:
+        return a, 0.5, _upper_edge(b), 0.0, min(reach, math.nextafter(0.5, 0.0)), keep, band_c
+    return a, 0.0, min(b, 0.5), 0.5, 0.5 + reach, keep, band_c
 
 
 def _exact_tests(
@@ -496,45 +500,44 @@ def _exact_tests(
     return core, hit
 
 
-def _symmetrized(
+def _measure_slice(
     out: np.ndarray, phi: np.ndarray, r: np.ndarray, detector_angle: float,
-    side: DetectorSide, params: ModelParams,
+    kind: PatternKind, geometry: tuple[float, ...],
 ) -> None:
-    a, b, c = params.a, params.b, params.c
-    band_c, keep = b * c, 1.0 - c
-    # Rounding is monotone and |sin| <= 1, so every w <= a and every
-    # cap <= band_c + keep * a: a pattern-half event above `reach` is never
-    # detected and needs no evaluation.
-    reach = max(a, band_c + keep * a)
+    """One slice of measure_many, as seen from station one, for the station _geometry gives."""
+    a, band_lo, band_hi, pat_lo, pat_hi, keep, band_c = geometry
     pp = _shifted_phase(phi, detector_angle)
-    low = r < 0.5
-    if side is DetectorSide.ONE:
-        band = ~low & (r < _upper_edge(b))
-        pattern = np.flatnonzero(low & (r <= reach))
+    if band_lo < band_hi:
+        band = r < band_hi
+        if band_lo > 0.0:
+            band &= r >= band_lo
+        plus = band & (pp < math.pi)
+        np.add(_i8(plus), _i8(plus), out=out)
+        out -= _i8(band)
+        del band, plus
     else:
-        band = low & (r < b)
-        # No float r with r - 0.5 <= reach lies above 0.5 + reach rounded,
-        # and an event admitted above reach is evaluated and not detected.
-        pattern = np.flatnonzero(~low & (r <= 0.5 + reach))
-    plus = band & (pp < math.pi)
-    np.add(_i8(plus), _i8(plus), out=out)
-    out -= _i8(band)
-    # Only the gathered pattern-half events go on; the whole-slice arrays
-    # are freed first, so the slice's peak memory stays _shifted_phase's.
-    del low, band, plus
+        out.fill(0)
+    if pat_hi < pat_lo:
+        return
+    window = r <= pat_hi
+    if pat_lo > 0.0:
+        window &= r >= pat_lo
+    pattern = np.flatnonzero(window)
+    # Only the gathered window events go on; the whole-slice arrays are freed
+    # first, so the slice's peak memory stays _shifted_phase's.
+    del window
     p = pp[pattern]
     del pp
     r_pat = r[pattern]
-    if side is DetectorSide.TWO:
-        r_pat -= 0.5
-
+    if pat_lo > 0.0:
+        r_pat -= pat_lo
     first = p < math.pi
     t = _half_phase(p)
     is_open = t > 0.0
     quarter = is_open & (t <= HALF_PI)
-    if params.kind is PatternKind.SYMMETRIZED_STAIRCASE:
+    if kind is PatternKind.SYMMETRIZED_STAIRCASE:
         core, hit = _exact_tests(
-            r_pat, _pattern_height(params.kind, a, p, t, out=p), is_open, keep, band_c
+            r_pat, _pattern_height(kind, a, p, t, out=p), is_open, keep, band_c
         )
     else:
         del p
@@ -543,17 +546,15 @@ def _symmetrized(
         cap += band_c
         core_gap = np.subtract(r_pat, w, out=w)
         cap_gap = np.subtract(r_pat, cap, out=cap)
-        # Where t is 0 the exact w is below 1e-16, so the estimate lies
-        # below _MARGIN; as r_pat >= 0, a gap there is near or positive, and
-        # the open phase needs testing only on the exact path.
+        # Where t is 0 the exact w is below 1e-16, so the estimate lies below
+        # _MARGIN; as r_pat >= 0, a gap there is near or positive, and the
+        # open phase needs testing only on the exact path.
         core = core_gap <= 0.0
         hit = cap_gap <= 0.0
         hit |= core
         unsure = _unsure(core_gap, cap_gap)
         if unsure is not None:
-            w = _pattern_height(
-                params.kind, a, _shifted_phase(phi[pattern[unsure]], detector_angle)
-            )
+            w = _pattern_height(kind, a, _shifted_phase(phi[pattern[unsure]], detector_angle))
             core[unsure], hit[unsure] = _exact_tests(
                 r_pat[unsure], w, is_open[unsure], keep, band_c
             )
@@ -562,8 +563,6 @@ def _symmetrized(
     plus = ((first ^ quarter) & core) ^ quarter
     plus &= hit
     out[pattern] = _i8(plus) + _i8(plus) - _i8(hit)
-    if side is DetectorSide.TWO:
-        np.negative(out, out=out)
 
 
 def measure(
@@ -576,8 +575,8 @@ def measure(
 
     This is the reference that measure_many is tested against.  It uses
     Python floats and the math module and shares no code with measure_many
-    beyond the input checks.  The setting passes errors' real-number rule,
-    _check_real, and a non-finite one raises DomainError; a side that is not
+    beyond the input checks.  The setting passes errors' setting rule,
+    _check_setting, so a non-finite one raises DomainError; a side that is not
     a DetectorSide or params that are not a ModelParams raise InvalidConfig.
     With pp the shifted phase, t = pp mod pi, and r_pat and r_band the
     offsets of r into the pattern half and the band half, the boundary
@@ -597,9 +596,7 @@ def measure(
     """
     _check_type("side", side, DetectorSide)
     _check_type("params", params, ModelParams)
-    detector_angle = _check_real("detector_angle", detector_angle)
-    if not math.isfinite(detector_angle):
-        raise DomainError(f"detector_angle must be finite, got {detector_angle!r}")
+    detector_angle = _check_setting("detector_angle", detector_angle)
     a, b, c = params.a, params.b, params.c
     pp = (lam.phi - detector_angle) % TWO_PI
     if pp >= TWO_PI:

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _MASK64, DomainError, EmptyTally, InvalidConfig, _check_int, _check_real
-from .errors import _check_type
+from .errors import _MASK64, EmptyTally, InvalidConfig, _check_int, _check_setting, _check_type
 from .model import TWO_PI, DetectorSide, ModelParams, measure_many
 
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -81,8 +80,7 @@ class RunConfig:
         _check_int("seed", self.seed)
         _check_type("params", self.params, ModelParams)
         for name, angle in (("angle_1", self.angle_1), ("angle_2", self.angle_2)):
-            if not math.isfinite(_check_real(name, angle)):
-                raise DomainError(f"{name} must be finite, got {angle!r}")
+            _check_setting(name, angle)
 
     @property
     def n_chunks(self) -> int:
@@ -286,6 +284,7 @@ def estimate(tally: Tally) -> Estimates:
     Rates are per emitted pair; the correlation divides by coincidences, so
     its standard error carries the 1/eta penalty.
     """
+    _check_type("tally", tally, Tally)
     nc = tally.n_coincidences
     if nc == 0:
         raise EmptyTally("no coincidences in tally")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ProbQuad
-from .errors import DomainError, SingletLhvError, _check_int, _check_real, _check_type
+from .errors import SingletLhvError, _check_int, _check_setting, _check_type
 from .model import TWO_PI, DetectorSide, ModelParams, PatternKind, measure_many
 from .model import _pattern_height, _shifted_phase
 
@@ -203,15 +203,14 @@ def outcome_probabilities(
     segments, and a mismatch or cuts out of order raise SingletLhvError.
     The straddles catch any cut off by more than 2**-36; the grid catches a
     missing cut or a mislabelled segment wider than 1/r_probes, 1/160 by
-    default.  Each setting passes errors' real-number rule, _check_real, and
-    a non-finite one raises DomainError.
+    default.  Each setting passes errors' setting rule, _check_setting, so a
+    non-finite one raises DomainError.
     """
     r_probes = _check_int("r_probes", r_probes, lo=16)
     gl_order = _check_int("gl_order", gl_order, lo=2)
     _check_type("params", params, ModelParams)
     for name, angle in (("angle_1", angle_1), ("angle_2", angle_2)):
-        if not math.isfinite(_check_real(name, angle)):
-            raise DomainError(f"{name} must be finite, got {angle!r}")
+        _check_setting(name, angle)
 
     edges = _breakpoints(angle_1, angle_2)
     x, wts = _gauss_legendre(gl_order)

@@ -94,7 +94,7 @@ def test_public_surface():
 # The one module that defines each input check.
 CHECK_HOMES = {
     "_check_int": "errors", "_check_real": "errors", "_check_unit": "errors",
-    "_check_type": "errors",
+    "_check_type": "errors", "_check_setting": "errors",
 }
 
 
@@ -122,6 +122,13 @@ def test_each_input_check_has_one_home():
                     assert "montecarlo" not in (node.module, *names)
                 if node.module == "montecarlo":
                     assert not [n for n in names if n.startswith("_")], module
+
+
+def test_one_slice_kernel_serves_every_kind():
+    # The unsymmetrized kind is a station geometry, not a kernel of its own.
+    assert [module for module, _ in _definitions("_measure_slice")] == ["model"]
+    for name in ("_symmetrized", "_unsymmetrized"):
+        assert _definitions(name) == [], name
 
 
 # The one module that defines each closed form more than one caller needs:

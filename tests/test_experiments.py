@@ -246,6 +246,10 @@ class TestVerifySuite:
         for bad in (-1, 2**64, 1.5, True):
             with pytest.raises(InvalidConfig):
                 verify_suite(pairs_budget=MIN_VERIFY_PAIRS, seed=bad)
+        # workers once reached the sampling checks, which each failed alone.
+        for bad in ("2", -3, 1.5, True):
+            with pytest.raises(InvalidConfig):
+                verify_suite(pairs_budget=MIN_VERIFY_PAIRS, workers=bad)
 
     def test_determinism_check_splits_its_run_at_every_worker_count(self, monkeypatch):
         # The check compares one run at 1, 3 and 7 workers.  It can tell a

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from singlet_lhv import (
+    ChshAngles,
     DetectorSide,
     DomainError,
     HiddenVariable,
@@ -24,8 +25,11 @@ from singlet_lhv import (
     RunConfig,
     bell_generalized_slack,
     chsh_bound,
+    chsh_experiment,
+    chsh_value,
     classify_region,
     correlation,
+    estimate,
     is_feasible,
     joint_table,
     line_g,
@@ -36,6 +40,7 @@ from singlet_lhv import (
     qm_probs,
     reduce_theta,
     solve_params,
+    sweep_gate,
     unsymmetrized_marginals,
 )
 from singlet_lhv.quadrature import outcome_probabilities
@@ -58,6 +63,10 @@ ROWS = [
     ("outcome_probabilities-angle_2", lambda x: outcome_probabilities(P, 0.0, x), DomainError, True),
     ("measure-angle", lambda x: measure(HiddenVariable(1.0, 0.1), x, ONE, P), DomainError, True),
     ("measure_many-angle", lambda x: measure_many(PHI, R, x, ONE, P), DomainError, True),
+    ("ChshAngles-phi_a", lambda x: ChshAngles(x, 0.0, 0.0, 0.0), DomainError, True),
+    ("ChshAngles-phi_b", lambda x: ChshAngles(0.0, x, 0.0, 0.0), DomainError, True),
+    ("ChshAngles-phi_c", lambda x: ChshAngles(0.0, 0.0, x, 0.0), DomainError, True),
+    ("ChshAngles-phi_d", lambda x: ChshAngles(0.0, 0.0, 0.0, x), DomainError, True),
     # Phases and r; measure_many takes arrays of them, and holds r to
     # [0, 1) as HiddenVariable does.
     ("HiddenVariable-phi", lambda x: HiddenVariable(x, 0.1), DomainError, True),
@@ -142,3 +151,16 @@ def test_joint_table_params_must_be_model_params():
     for params in (None, SIN, "sin"):
         with pytest.raises(InvalidConfig):
             joint_table(params, 0.3)
+
+
+def test_entries_check_their_argument_types():
+    # Each once raised AttributeError.
+    calls = [
+        lambda: chsh_experiment(P, angles=(0.0, 1.0, 2.0, 3.0), pairs_per_setting=10),
+        lambda: chsh_value(0.8, SIN, (0.0, 1.0, 2.0, 3.0)),
+        lambda: sweep_gate([], None),
+        lambda: estimate(None),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidConfig):
+            call()

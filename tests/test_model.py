@@ -676,17 +676,21 @@ class TestTiles:
 class TestTransientMemory:
     """measure_many's temporaries stay near 17 bytes per event of a slice.
 
-    The largest are _shifted_phase's, 17 bytes, and for a setting beyond
-    one turn the 64 KiB cast buffer of its ladder; the kernels free the
-    whole-slice arrays before they work on the gathered events.  On
-    3 * _TILE + 5 events the peak, with the int8 result, reads 6.68 bytes
-    per event at setting 0.3 and 7.36 beyond one turn (numpy 2.4).  Kernels
-    that keep the whole-slice phases alive read 10.7 to 13.1 at this slice
-    size, and push the quadrature oracle's heap past glibc's trim threshold,
-    so that every oracle call faults its pages back in.
+    The largest are _shifted_phase's, 17 bytes; the kernel frees the
+    whole-slice arrays before it works on the gathered events.  On
+    3 * _TILE + 5 events the peak, with the int8 result, reads 6.68 to 7.72
+    bytes per event (numpy 2.4), and a setting beyond one turn adds nothing:
+    the ladder casts each mask once (_add_where), where a bool-times-float
+    rung took numpy's 64 KiB cast buffer and lifted every peak to 7.36 or
+    more.
+    Kernels that keep the whole-slice phases alive read 10.7 to 13.1 at this
+    slice size, and push the quadrature oracle's heap past glibc's trim
+    threshold, so that every oracle call faults its pages back in.
     """
 
     BYTES_PER_EVENT = 8.5
+    #: How far the peak beyond one turn may lie above the peak at 0.3.
+    LADDER_SLACK = 0.05
 
     @pytest.mark.parametrize("side", list(DetectorSide))
     @pytest.mark.parametrize("kind, eta, v", _REFERENCE_POINTS)
@@ -695,14 +699,16 @@ class TestTransientMemory:
         u = np.random.Generator(np.random.Philox(key=n)).random((2, n))
         phi, r = TWO_PI * u[0], u[1]
         p = ModelParams(eta, v, kind)
+        peaks = []
         for angle in (0.3, 2.0 + 4.0 * math.pi):
             tracemalloc.start()
             try:
                 measure_many(phi, r, angle, side, p)
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks.append(tracemalloc.get_traced_memory()[1] / n)
             finally:
                 tracemalloc.stop()
-            assert peak / n <= self.BYTES_PER_EVENT
+        assert max(peaks) <= self.BYTES_PER_EVENT
+        assert peaks[1] <= peaks[0] + self.LADDER_SLACK
 
 
 class TestHiddenVariable:
