@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _REALS, DomainError, _check_real, _check_setting, _check_type, _check_unit
+from .errors import DomainError, _check_setting, _check_type, _check_unit
 from .model import (
     HALF_PI,
     SQRT2,
@@ -121,21 +121,9 @@ class RegionVerdict:
     gap: bool
 
 
-def _check_theta(theta, array: bool = True):
-    """theta under errors._check_real, as a float if a real scalar, else if array as an ndarray.
-
-    A NaN or infinite theta raises DomainError.
-    """
-    array = array and not isinstance(theta, _REALS)
-    theta = _check_real("theta", theta, array=array)
-    if not (np.all(np.isfinite(theta)) if array else math.isfinite(theta)):
-        raise DomainError(f"theta must be finite, got {theta!r}")
-    return theta
-
-
 def reduce_theta(theta):
     """Map any finite real angle, or array of them, to [0, pi] by the even periodic extension."""
-    return _reduce_theta(_check_theta(theta))
+    return _reduce_theta(_check_setting("theta", theta, array=True))
 
 
 def _reduce_theta(theta):
@@ -144,7 +132,7 @@ def _reduce_theta(theta):
 
 def qm_probs(theta: float) -> ProbQuad:
     """Perfect singlet coincidence cells at a finite real relative angle theta."""
-    ct = math.cos(_check_theta(theta, array=False))
+    ct = math.cos(_check_setting("theta", theta))
     anti = 0.25 * (1.0 - ct)
     corr = 0.25 * (1.0 + ct)
     return ProbQuad(p_pp=anti, p_pm=corr, p_mp=corr, p_mm=anti)
@@ -159,7 +147,7 @@ def line_g(theta):
     largest deviation from cos stays below 0.0704.  Scalars in, scalar out.
     theta is checked as reduce_theta checks it.
     """
-    return _line_g(_check_theta(theta))
+    return _line_g(_check_setting("theta", theta, array=True))
 
 
 def _line_g(theta):
@@ -171,7 +159,7 @@ def _line_g(theta):
 
 def _correlation_shape(theta, kind: PatternKind):
     _check_type("kind", kind, PatternKind)
-    theta = _check_theta(theta)
+    theta = _check_setting("theta", theta, array=True)
     # cos is even and periodic already; only the interpolated shape needs
     # its argument folded into [0, pi].
     if kind is PatternKind.SYMMETRIZED_STAIRCASE:
@@ -216,7 +204,7 @@ def joint_table(params: ModelParams, theta: float) -> np.ndarray:
     station one, which never fires alone, and at rate b on station two.
     """
     _check_type("params", params, ModelParams)
-    theta = _check_theta(theta, array=False)  # one table, so one angle
+    theta = _check_setting("theta", theta)  # one table, so one angle
     if params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL:
         rate, rate_2 = unsymmetrized_marginals(params.a, params.b)
         single_1, single_2, none = 0.0, 0.5 * (rate_2 - rate), 1.0 - rate_2

@@ -75,10 +75,14 @@ def _check_real(name: str, value, array: bool = False):
     return values.astype(float, copy=False) if array else float(values)
 
 
-def _check_setting(name: str, value) -> float:
-    """A detector setting as a float, under _check_real; a NaN or infinite one raises DomainError."""
-    value = _check_real(name, value)
-    if not math.isfinite(value):
+def _check_setting(name: str, value, array: bool = False):
+    """An angle under _check_real: a float if a real scalar, else if array an ndarray.
+
+    A NaN or infinite angle raises DomainError.
+    """
+    array = array and not isinstance(value, _REALS)
+    value = _check_real(name, value, array=array)
+    if not (np.all(np.isfinite(value)) if array else math.isfinite(value)):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 

@@ -9,6 +9,7 @@ without rerunning the whole experiment.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,11 @@ def sweep_gate(rows: list[SweepRow], params: ModelParams) -> SweepGate:
     unsymmetrized kind, whose station one never fires alone.  Rows whose
     predicted error is zero (full visibility at theta = 0 or pi) must match
     exactly.  A row without coincidences (corr_mc is NaN) is untested, and
-    an empty sweep tests nothing.
+    an empty sweep tests nothing.  rows must be a sequence of SweepRow.
     """
+    _check_type("rows", rows, Sequence)
+    for row in rows:
+        _check_type("each row", row, SweepRow)
     _check_type("params", params, ModelParams)
     unsym = params.kind is PatternKind.UNSYMMETRIZED_SINUSOIDAL
     worst_dev = 0.0
@@ -367,9 +371,9 @@ def _shift_mismatches(seed: int) -> int:
     r = rng.random(n)
     mismatches = 0
     p = solve_params(0.7, 0.8, PatternKind.SYMMETRIZED_SINUSOIDAL)
-    # The last setting is far beyond one turn: _shifted_phase walks a deep ladder.
+    # The last setting is far beyond one turn; each setting is reduced first.
     for alpha in (0.0, 0.3, math.pi / 3.0, 2.2, -1.7, 9.0, -1e6 - 0.3):
-        shifted = np.mod(phi - alpha, TWO_PI)
+        shifted = np.mod(phi - alpha % TWO_PI, TWO_PI)
         shifted[shifted >= TWO_PI] = 0.0
         for side in (DetectorSide.ONE, DetectorSide.TWO):
             direct = measure_many(phi, r, alpha, side, p)

@@ -1,12 +1,13 @@
 """Hidden-variable model: parameter solving and the detector response.
 
 Every emitted pair carries one shared hidden variable lam = (phi, r) drawn
-uniformly from [0, 2*pi) x [0, 1).  A detector set to angle alpha reduces it
-to the shifted phase phi' = (phi - alpha) mod 2*pi and maps (phi', r) to one
-of three outcomes (+1, -1, or no detection) through a fixed partition of the
-(phi', r) rectangle called the detector pattern.  All correlations between
-the two stations arise from sharing lam; the response at one station never
-sees the other station's setting.
+uniformly from [0, 2*pi) x [0, 1).  A detector set to angle alpha, an angle
+reduced once mod 2*pi, sees the shifted phase phi' = (phi - alpha mod 2*pi)
+mod 2*pi and maps (phi', r) to one of three outcomes (+1, -1, or no
+detection) through a fixed partition of the (phi', r) rectangle called the
+detector pattern.  All correlations between the two stations arise from
+sharing lam; the response at one station never sees the other station's
+setting.
 
 A pattern is built from three ingredients controlled by the heights (a, b, c):
 
@@ -325,53 +326,21 @@ def _pattern_height(
     return w
 
 
-def _add_where(out: np.ndarray, mask: np.ndarray, value: float) -> None:
-    """out += value * mask, the mask cast once in place of numpy's 64 KiB cast buffer."""
-    step = mask.astype(np.float64)
-    step *= value
-    out += step
-
-
 def _shifted_phase(phi: np.ndarray, detector_angle: float) -> np.ndarray:
-    """(phi - detector_angle) mod 2*pi on 1-d phi, bit for bit as np.mod gives it.
+    """measure()'s shifted phase (phi - detector_angle % TWO_PI) % TWO_PI, bit for bit.
 
-    np.mod(x, 2*pi) is the truncated remainder fmod(x, 2*pi), plus 2*pi when
-    that is negative.  While phi and the setting both lie in [0, 2*pi) every
-    |x| < 2*pi is its own remainder, and the range test on the minimum and
-    maximum skips the reduction.  Only when that test fails are the same two
-    values checked for NaN and infinities, which raise DomainError.
-
-    Otherwise the remainder is taken by a ladder of exact subtractions, and
-    no libm call remains.  For each step s = 2**k * 2*pi, from the largest
-    s <= max|x| down to 2*pi, subtract s where x >= s and add s where
-    x <= -s; a rung that no element reaches on a side is skipped.  Each
-    rung receives |x| < 2*s, and by the Sterbenz lemma (s <= |x| <= 2*s
-    makes |x| - s exact) it leaves |x| < s, exactly and with the sign of x
-    or zero.  So the ladder ends on x - n*2*pi inside (-2*pi, 2*pi), which
-    is fmod's result bit for bit but for the sign of a zero, and adding
-    +0.0 below clears that sign in either case.
+    phi is 1-d and lies in [0, 2*pi).  Python's float % reduces the setting
+    once, into [0, 2*pi]: a tiny negative setting rounds up to 2*pi.  So
+    phi - setting lies in [-2*pi, 2*pi), where % is the difference itself,
+    plus 2*pi where it is negative; adding +0.0 elsewhere clears the sign of
+    a zero, as % does.
     """
-    out = np.subtract(phi, detector_angle)
-    if out.size:
-        lo, hi = out.min(), out.max()
-        if not (lo > -TWO_PI and hi < TWO_PI):
-            # min and max propagate NaN, so both are finite iff every element is.
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise DomainError(
-                    "phi - detector_angle must be finite, got values in "
-                    f"[{float(lo)!r}, {float(hi)!r}]"
-                )
-            reach, step = max(-lo, hi), TWO_PI
-            while step + step <= reach:
-                step += step
-            while step >= TWO_PI:
-                if hi >= step:
-                    _add_where(out, out >= step, -step)
-                if lo <= -step:
-                    _add_where(out, out <= -step, step)
-                step *= 0.5
-    _add_where(out, out < 0.0, TWO_PI)
-    # A tiny negative remainder plus 2*pi can round up to exactly 2*pi.
+    out = np.subtract(phi, detector_angle % TWO_PI)
+    # The mask cast once, in place of numpy's 64 KiB cast buffer.
+    step = (out < 0.0).astype(np.float64)
+    step *= TWO_PI
+    out += step
+    # A tiny negative difference plus 2*pi can round up to exactly 2*pi.
     out[out >= TWO_PI] = 0.0
     return out
 
@@ -391,10 +360,11 @@ def measure_many(
 
     phi and r hold the hidden variables and broadcast against each other; a
     0-d pair gives a 0-d result.  phi, r and the setting pass errors'
-    real-number rule, _check_real; a non-finite setting or phase raises
-    DomainError, and so does an r outside [0, 1), as in HiddenVariable.
-    _shifted_phase reduces phi - detector_angle mod 2*pi exactly, without
-    libm.  Side and params are checked as in measure().  Event by event the
+    real-number rule, _check_real; a non-finite setting raises DomainError,
+    and so do a phi outside [0, 2*pi) and an r outside [0, 1), as in
+    HiddenVariable.  _shifted_phase takes the shifted phase in measure()'s
+    float operations, with the setting reduced once per slice, not per
+    event.  Side and params are checked as in measure().  Event by event the
     outcome equals measure(), the plain-Python reference.
 
     One kernel serves every kind and side: _geometry states the station as
@@ -416,18 +386,20 @@ def measure_many(
     kernel frees its whole-slice arrays before it works on the gathered
     events, so a slice's temporaries stay near 17 bytes per event (see
     _TILE).  Every step acts on each event alone, so the slices give the
-    result of one pass bit for bit; a non-finite phase in any slice raises.
-    The range of r is checked once per call, by one min and one max.
+    result of one pass bit for bit.  The ranges of phi and r are checked
+    once per call, each by one min and one max.
     """
     _check_type("side", side, DetectorSide)
     _check_type("params", params, ModelParams)
     detector_angle = _check_setting("detector_angle", detector_angle)
     phi, r = _check_real("phi", phi, array=True), _check_real("r", r, array=True)
-    # min and max propagate NaN, which fails the test as HiddenVariable's does.
-    if r.size and not (0.0 <= r.min() and r.max() < 1.0):
-        raise DomainError(
-            f"r must lie in [0, 1), got values in [{float(r.min())!r}, {float(r.max())!r}]"
-        )
+    for name, values, top, label in (("phi", phi, TWO_PI, "2*pi"), ("r", r, 1.0, "1")):
+        # min and max propagate NaN, which fails the test as HiddenVariable's does.
+        if values.size and not (0.0 <= values.min() and values.max() < top):
+            raise DomainError(
+                f"{name} must lie in [0, {label}), got values in "
+                f"[{float(values.min())!r}, {float(values.max())!r}]"
+            )
     if phi.shape != r.shape:
         phi, r = np.broadcast_arrays(phi, r)
     shape = phi.shape
@@ -578,9 +550,10 @@ def measure(
     beyond the input checks.  The setting passes errors' setting rule,
     _check_setting, so a non-finite one raises DomainError; a side that is not
     a DetectorSide or params that are not a ModelParams raise InvalidConfig.
-    With pp the shifted phase, t = pp mod pi, and r_pat and r_band the
-    offsets of r into the pattern half and the band half, the boundary
-    conventions are:
+    The shifted phase is pp = (phi - detector_angle % TWO_PI) % TWO_PI, the
+    setting reduced first by Python's float %, and a pp that rounds up to
+    2*pi is 0.  With t = pp mod pi, and r_pat and r_band the offsets of r
+    into the pattern half and the band half, the boundary conventions are:
 
     * pp == 0 and pp == pi lie in no core (the core is open in phase), so
       there an event can only reach the error band;
@@ -598,7 +571,7 @@ def measure(
     _check_type("params", params, ModelParams)
     detector_angle = _check_setting("detector_angle", detector_angle)
     a, b, c = params.a, params.b, params.c
-    pp = (lam.phi - detector_angle) % TWO_PI
+    pp = (lam.phi - detector_angle % TWO_PI) % TWO_PI
     if pp >= TWO_PI:
         # A tiny negative difference plus 2*pi can round up to 2*pi.
         pp = 0.0

@@ -216,6 +216,8 @@ def outcome_probabilities(
     x, wts = _gauss_legendre(gl_order)
     half = 0.5 * np.diff(edges)[:, None]
     phi_nodes = (half * x + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
+    # A node of the last piece can round up to 2*pi, the same phase as 0.
+    phi_nodes[phi_nodes >= TWO_PI] -= TWO_PI
     phi_weights = (half * wts).ravel()
     n_phi = phi_nodes.size
 

@@ -109,8 +109,9 @@ def _definitions(name):
 def test_each_input_check_has_one_home():
     for name, home in CHECK_HOMES.items():
         assert [module for module, _ in _definitions(name)] == [home], name
-    # The checks _check_real and _check_type replaced are gone.
-    for name in ("_check_finite", "_check_angle", "_check_params", "_check_side"):
+    # The checks _check_real and _check_type replaced are gone, and so is
+    # analytic's theta check, which _check_setting now is.
+    for name in ("_check_finite", "_check_angle", "_check_params", "_check_side", "_check_theta"):
         assert _definitions(name) == [], name
     # The oracle shares no code with the sampler, and no module reaches
     # into the sampler's private names.

@@ -20,7 +20,7 @@ from singlet_lhv import (
 )
 from singlet_lhv import montecarlo
 from singlet_lhv.experiments import MIN_VERIFY_PAIRS, SweepRow
-from singlet_lhv.montecarlo import binomial_se, correlation_se, zscore
+from singlet_lhv.montecarlo import FIVE_SIGMA, binomial_se, correlation_se, zscore
 
 SIN = PatternKind.SYMMETRIZED_SINUSOIDAL
 LINE = PatternKind.SYMMETRIZED_STAIRCASE
@@ -75,12 +75,12 @@ class TestThetaSweep:
         p, rows = _sweep(kind, eta, v)
         gate = sweep_gate(rows, p)
         assert gate.passed
-        assert gate.max_sigma <= 5.0
+        assert gate.max_sigma <= FIVE_SIGMA
         assert gate.max_abs_deviation < 0.02
         for row in rows:
             for got, want in ((row.p_pp_mc, row.p_pp), (row.p_pm_mc, row.p_pm),
                               (row.p_mp_mc, row.p_mp), (row.p_mm_mc, row.p_mm)):
-                assert zscore(got, want, binomial_se(want, row.n_pairs)) <= 5.0
+                assert zscore(got, want, binomial_se(want, row.n_pairs)) <= FIVE_SIGMA
 
     def test_full_visibility_endpoints_are_exact(self):
         p = solve_params(0.75, 1.0, SIN)
@@ -110,7 +110,7 @@ class TestSweepGate:
         bad[2] = dataclasses.replace(bad[2], corr_mc=bad[2].corr + 0.5)
         gate = sweep_gate(bad, p)
         assert not gate.passed
-        assert gate.max_sigma > 5.0
+        assert gate.max_sigma > FIVE_SIGMA
 
     def test_rows_without_coincidences_are_inconclusive(self, sin_sweep):
         p, rows = sin_sweep
@@ -167,7 +167,7 @@ class TestChshExperiment:
         assert [s.seed for s in rep.settings] == [derive_seed(3, i) for i in range(4)]
         assert rep.s_oracle == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
         assert rep.bound == 3.7142857142857144
-        assert abs(rep.s_mc - rep.s_oracle) <= 5.0 * rep.se_s
+        assert abs(rep.s_mc - rep.s_oracle) <= FIVE_SIGMA * rep.se_s
         assert not rep.violated_mc
 
     def test_setting_angles_follow_input(self):
@@ -185,7 +185,7 @@ class TestChshExperiment:
         p = solve_params(0.9, v, LINE)
         rep = chsh_experiment(p, pairs_per_setting=200000, seed=14)
         assert rep.s_oracle == pytest.approx(rep.bound, rel=1e-12)
-        assert abs(rep.s_mc - rep.bound) <= 5.0 * rep.se_s
+        assert abs(rep.s_mc - rep.bound) <= FIVE_SIGMA * rep.se_s
         assert not rep.violated_mc
 
     def test_validation(self):

@@ -3,8 +3,8 @@ errors._check_real, and then to its own domain.
 
 A value that is not a real number, or an int beyond float range, raises
 InvalidConfig wherever it goes.  A NaN or infinite setting, phase, r, pattern
-height or theta raises DomainError; eta and v keep each entry's own range
-class.
+height or theta raises DomainError, and so does a phase or r outside its
+interval; eta and v keep each entry's own range class.
 """
 
 import math
@@ -112,6 +112,13 @@ NOT_REAL = [
     ("int-beyond-float", 10**400),
 ]
 NOT_FINITE = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+# Finite phases and r outside [0, 2*pi) and [0, 1), which HiddenVariable and
+# measure_many hold them to alike.
+_PHI_OUT, _R_OUT = [7.0, -0.1, 2.0 * math.pi], [1.0, -0.1]
+OUT_OF_RANGE = {
+    "HiddenVariable-phi": _PHI_OUT, "measure_many-phi": _PHI_OUT,
+    "HiddenVariable-r": _R_OUT, "measure_many-r": _R_OUT,
+}
 
 
 def _cells():
@@ -121,6 +128,7 @@ def _cells():
             cells.append(("vector", np.array([0.1, 0.2]), InvalidConfig))
         if domain_error is not None:
             cells += [(col, x, domain_error) for col, x in NOT_FINITE]
+        cells += [(repr(x), x, DomainError) for x in OUT_OF_RANGE.get(row, ())]
         for col, x, error in cells:
             yield pytest.param(call, x, error, id=f"{row}-{col}")
 
@@ -154,11 +162,16 @@ def test_joint_table_params_must_be_model_params():
 
 
 def test_entries_check_their_argument_types():
-    # Each once raised AttributeError.
+    # Each once raised AttributeError, or a bare TypeError for a sweep_gate
+    # rows argument that is not a sequence.
     calls = [
         lambda: chsh_experiment(P, angles=(0.0, 1.0, 2.0, 3.0), pairs_per_setting=10),
         lambda: chsh_value(0.8, SIN, (0.0, 1.0, 2.0, 3.0)),
         lambda: sweep_gate([], None),
+        lambda: sweep_gate(None, P),
+        lambda: sweep_gate(5, P),
+        lambda: sweep_gate([1], P),
+        lambda: sweep_gate("abc", P),
         lambda: estimate(None),
     ]
     for call in calls:

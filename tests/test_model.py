@@ -344,7 +344,7 @@ _R_LABELS = ("0", "0.5", "w", "cap", "b", "0.5+b", "0.5+w", "0.5+cap")
 
 def _edge_r(label, phi, angle, p):
     """The r named by label at the event's shifted phase: an edge of either half."""
-    pp = (phi - angle) % TWO_PI
+    pp = (phi - angle % TWO_PI) % TWO_PI
     w = _pattern_height(p.kind, p.a, np.array([pp if pp < TWO_PI else 0.0]))[0].item()
     cap = p.b * p.c + (1.0 - p.c) * w
     return {
@@ -406,7 +406,7 @@ def _edge_examples(test):
     unsymmetrized pattern with detected events at shifted phase pi and one
     ulp either side of it: the + half is [pi, 2*pi), closed at pi.  On
     station one: settings far beyond one turn, +-(1e6 + 0.3) and -3e17,
-    whose shifted phases _shifted_phase reduces down a deep ladder.
+    which both functions reduce mod 2*pi before the phase is shifted.
     """
     step = ModelParams(0.75, 1.0, LINE)
     step_phis = [k * 0.25 * math.pi for k in (1, 3, 5, 7)]
@@ -584,46 +584,62 @@ class TestHeightFilter:
             assert sum(fallback) >= len(phis)
 
 
-def _mod_reference(x):
-    """np.mod(x, 2*pi) with a result of 2*pi mapped to 0."""
-    want = np.mod(x, TWO_PI)
-    want[want >= TWO_PI] = 0.0
-    return want
+def _shift_reference(phi, angle):
+    """measure()'s shifted phase of one event, in Python floats."""
+    pp = (phi - angle % TWO_PI) % TWO_PI
+    return 0.0 if pp >= TWO_PI else pp
+
+
+# Phases on 0 of either sign, every multiple of pi/4 and one ulp either
+# side, and one ulp below 2*pi.
+_SHIFT_PHI = [-0.0, *_ADVERSARIAL_PHI, math.nextafter(TWO_PI, 0.0)]
+_TURNS = [k * TWO_PI for k in (1, 2, 3, 7, 1000, 2**20, 2**40)]
+# Settings of either sign on 0, subnormals, whole turns and one ulp either
+# side, far beyond one turn, and the tiny negative setting that % takes to
+# exactly 2*pi.
+_SHIFT_SETTINGS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e6 + 0.3, -(1e6 + 0.3), 3e17, -3e17,
+    -1e-20,
+    *(x for turn in _TURNS for t in (turn, -turn)
+      for x in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))),
+]
 
 
 class TestShiftedPhase:
-    """_shifted_phase's ladder equals np.mod bit for bit, far beyond one turn."""
+    """_shifted_phase is measure()'s (phi - angle % TWO_PI) % TWO_PI bit for bit."""
 
     @staticmethod
-    def _assert_matches_mod(x):
-        x = np.array(x, dtype=float)
-        got = _shifted_phase(x, 0.0)
-        assert got.view(np.int64).tolist() == _mod_reference(x).view(np.int64).tolist()
+    def _assert_matches_reference(phis, angle):
+        got = _shifted_phase(np.array(phis, dtype=float), angle)
+        want = np.array([_shift_reference(phi, angle) for phi in phis])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert ((got >= 0.0) & (got < TWO_PI)).all()
 
-    def test_multiples_of_two_pi_and_their_neighbours(self):
-        ks = {2**j + d for j in range(41) for d in (-1, 0, 1)} | {3, 5, 7, 1000, 2**40}
-        ks |= set(np.random.Generator(np.random.Philox(key=25)).integers(1, 2**40, 64).tolist())
-        turns = np.array(sorted(k * TWO_PI for k in ks if 1 <= k <= 2**40))
-        turns = np.concatenate([turns, -turns])
-        self._assert_matches_mod(np.concatenate([
-            turns, np.nextafter(turns, -np.inf), np.nextafter(turns, np.inf),
-        ]))
+    @pytest.mark.parametrize("angle", _SHIFT_SETTINGS)
+    def test_edge_phases_at_every_edge_setting(self, angle):
+        self._assert_matches_reference(_SHIFT_PHI, angle)
 
-    def test_zeros_subnormals_and_huge_values(self):
-        self._assert_matches_mod([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
-        for x in (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300):
-            self._assert_matches_mod([x])
+    def test_tiny_negative_setting_reduces_to_two_pi(self):
+        # The reduced setting is 2*pi itself, so phi - setting reaches
+        # -2*pi; at phi = 0 the result is 0, not 2*pi.
+        assert -1e-20 % TWO_PI == TWO_PI
+        assert _shifted_phase(np.array([0.0, 5e-324]), -1e-20).tolist() == [0.0, 0.0]
 
-    def test_tile_beyond_two_pi_on_both_signs(self):
+    def test_setting_within_one_turn_is_the_plain_difference_mod_two_pi(self):
+        # A setting in [0, 2*pi) is its own reduction, so the shifted phase
+        # is np.mod(phi - angle, 2*pi) as before the setting was reduced.
+        phi = np.array(_SHIFT_PHI)
+        for angle in (0.0, 0.3, math.pi, 5.0, math.nextafter(TWO_PI, 0.0)):
+            want = np.mod(phi - angle, TWO_PI)
+            want[want >= TWO_PI] = 0.0
+            assert _shifted_phase(phi, angle).view(np.int64).tolist() == (
+                want.view(np.int64).tolist()
+            )
+
+    @pytest.mark.parametrize("angle", [1.3, 1.3 + 4.0 * math.pi, -(1e6 + 0.3), 3e17])
+    def test_tile_of_uniform_phases(self, angle):
         u = np.random.Generator(np.random.Philox(key=26)).random(_TILE)
-        self._assert_matches_mod(100.0 * (2.0 * u - 1.0))
-        self._assert_matches_mod(np.ldexp(2.0 * u - 1.0, np.arange(_TILE) % 64))
-
-    @pytest.mark.parametrize("far", [3e17, -3e17, 2.0 * TWO_PI, -TWO_PI])
-    def test_one_element_out_of_range(self, far):
-        x = np.linspace(-6.0, 6.0, 101)
-        x[37] = far
-        self._assert_matches_mod(x)
+        self._assert_matches_reference((TWO_PI * u).tolist(), angle)
 
 
 class TestTiles:
@@ -651,17 +667,17 @@ class TestTiles:
         ]
         assert got.ravel().tolist() == want
 
-    def test_reduction_needed_in_one_tile_only(self):
-        # With the setting at -1, phi - angle reaches 2*pi only where
-        # phi >= 2*pi - 1, and only the second slice holds such phases.
+    @pytest.mark.parametrize("bad", [-0.1, TWO_PI, 7.0])
+    def test_phase_outside_one_turn_in_one_tile_only_is_rejected(self, bad):
+        # Only the second slice holds the bad phase; the range check runs
+        # once per call, before any slice is evaluated.
         p = ModelParams(0.7, 0.8, SIN)
         u = np.random.Generator(np.random.Philox(key=5)).random((3 * _TILE + 5, 2))
-        phi = (TWO_PI - 1.5) * u[:, 0]
-        phi[_TILE:2 * _TILE] += 1.5
-        assert (phi[_TILE:2 * _TILE] + 1.0 >= TWO_PI).any()
-        assert (np.delete(phi, np.s_[_TILE:2 * _TILE]) + 1.0 < TWO_PI).all()
+        phi = TWO_PI * u[:, 0]
+        phi[_TILE + 17] = bad
         for side in DetectorSide:
-            _assert_matches_reference(phi.tolist(), u[:, 1].tolist(), -1.0, side, p)
+            with pytest.raises(DomainError):
+                measure_many(phi, u[:, 1], -1.0, side, p)
 
     @pytest.mark.parametrize("kind, eta, v", _REFERENCE_POINTS[:3])
     def test_nan_in_last_tile_is_rejected(self, kind, eta, v):
@@ -678,11 +694,9 @@ class TestTransientMemory:
 
     The largest are _shifted_phase's, 17 bytes; the kernel frees the
     whole-slice arrays before it works on the gathered events.  On
-    3 * _TILE + 5 events the peak, with the int8 result, reads 6.68 to 7.72
-    bytes per event (numpy 2.4), and a setting beyond one turn adds nothing:
-    the ladder casts each mask once (_add_where), where a bool-times-float
-    rung took numpy's 64 KiB cast buffer and lifted every peak to 7.36 or
-    more.
+    3 * _TILE + 5 events the peak, with the int8 result, reads 6.68 to 7.73
+    bytes per event (numpy 2.4).  A setting beyond one turn is reduced
+    before any array is made, so its peak is the peak within one turn.
     Kernels that keep the whole-slice phases alive read 10.7 to 13.1 at this
     slice size, and push the quadrature oracle's heap past glibc's trim
     threshold, so that every oracle call faults its pages back in.
@@ -690,7 +704,7 @@ class TestTransientMemory:
 
     BYTES_PER_EVENT = 8.5
     #: How far the peak beyond one turn may lie above the peak at 0.3.
-    LADDER_SLACK = 0.05
+    FAR_SETTING_SLACK = 0.05
 
     @pytest.mark.parametrize("side", list(DetectorSide))
     @pytest.mark.parametrize("kind, eta, v", _REFERENCE_POINTS)
@@ -708,7 +722,7 @@ class TestTransientMemory:
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= self.BYTES_PER_EVENT
-        assert peaks[1] <= peaks[0] + self.LADDER_SLACK
+        assert peaks[1] <= peaks[0] + self.FAR_SETTING_SLACK
 
 
 class TestHiddenVariable:

@@ -194,6 +194,23 @@ class TestCutsAgainstClosedForm:
         got = outcome_probabilities(params, a1, a2).table
         np.testing.assert_allclose(got, joint_table(params, a2 - a1), rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("k1, k2", [(-13, -13), (-15, -13)])
+    @pytest.mark.parametrize("kind, eta, v", [
+        (SIN, 0.7, 0.8), (LINE, 0.9, 0.75), (UNSYM, 0.7, 1.0),
+    ])
+    def test_node_rounded_up_to_two_pi(self, kind, eta, v, k1, k2):
+        # At these pi/4 settings a Gauss-Legendre node of the last phi piece
+        # rounds up to 2*pi, outside measure_many's [0, 2*pi); the oracle
+        # takes it as the same phase 0.
+        a1, a2 = k1 * math.pi / 4.0, k2 * math.pi / 4.0
+        edges = quadrature._breakpoints(a1, a2)
+        x, _ = quadrature._gauss_legendre(24)
+        top = 0.5 * (edges[-1] - edges[-2]) * x[-1] + 0.5 * (edges[-1] + edges[-2])
+        assert top == 2.0 * math.pi
+        params = solve_params(eta, v, kind)
+        got = outcome_probabilities(params, a1, a2).table
+        np.testing.assert_allclose(got, joint_table(params, a2 - a1), rtol=0.0, atol=1e-15)
+
 
 class TestMeasureManyCalls:
     """Per station, one small call for the midpoints and one bulk call for the probes.
